@@ -4,10 +4,10 @@
 //! `solve_component` → `assemble_report`).
 
 use crate::answer::Answer;
-use crate::inputs::{phrase_matches, phrase_relations, session_config};
+use crate::inputs::{phrase_matches, phrase_relations, sample_seed, session_config, WARM_UP_SEED};
 use crate::stats::{label, max, median, min, percentile, tail_percentile};
 use crate::trace::Tracer;
-use crate::{mb, ms, setup_median, Ctx, Report};
+use crate::{mb, ms, peak_rss_mb, reset_peak_rss, setup_median, trim_heap, Ctx, Report};
 use explain3d::core::pipeline::{assemble_report, component_jobs, solve_component};
 use explain3d::datagen::synthetic::{generate, SyntheticConfig};
 use explain3d::datagen::GeneratedCase;
@@ -21,7 +21,7 @@ const MIN_SAMPLES: usize = 50;
 const MIN_TRACED: usize = 8;
 /// Cases a traced run cycles over, so each is replayed several times and
 /// the node-count spread of one input shows.
-const TRACED_CASES: usize = 4;
+const TRACED_CASES: u64 = 4;
 /// The traced replay's layer spans must cover its wall time to within this
 /// share (the rest is benchmark glue between the calls).
 const COVERAGE_TOLERANCE: f64 = 0.05;
@@ -189,6 +189,23 @@ impl LayerFold {
     }
 }
 
+/// Starts a sample from the live set: returns the heap's free memory to
+/// the operating system and resets the peak resident set, so the peak read
+/// after the timed call is that call's alone, not the benchmark's oracle
+/// replays or input generation.
+fn fresh_heap(report: &mut Report) {
+    trim_heap();
+    if let Err(e) = reset_peak_rss() {
+        report.fail(format!("cannot reset the peak resident set: {e}"));
+    }
+}
+
+/// The largest peak resident set of the timed calls so far, in MB.
+fn note_peak(report: &mut Report) {
+    let peak = peak_rss_mb("self").unwrap_or(0.0);
+    report.peak_rss_mb = Some(report.peak_rss_mb.map_or(peak, |p| p.max(peak)));
+}
+
 /// Times `op` until the run has lasted `ctx.seconds` and collected at
 /// least `min_samples` samples; `op` returns its wall time in ms.
 fn sample_loop(ctx: &Ctx, min_samples: usize, mut op: impl FnMut() -> f64) -> Vec<f64> {
@@ -233,9 +250,21 @@ impl SameAnswer {
     }
 }
 
-/// Relation pairs per `explain_sparse` run; samples cycle over them so a
-/// run's medians do not rest on one seeded pair.
-const SPARSE_CASES: u64 = 4;
+/// Every this many samples, from the first, an untraced run also replays
+/// the sample's input through the public stages (the stage-replay oracle).
+const REPLAY_EVERY: usize = 8;
+/// Set-up repetitions of the explain workloads: each generates the fixed
+/// warm-up input and explains it once.
+const SETUP_REPS: usize = 3;
+
+/// Tuples per relation of an `explain_sparse` input.
+fn sparse_rows(ctx: &Ctx) -> usize {
+    if ctx.smoke {
+        400
+    } else {
+        5000
+    }
+}
 
 struct SparseCase {
     left: CanonicalRelation,
@@ -244,6 +273,12 @@ struct SparseCase {
 }
 
 impl SparseCase {
+    /// The relation pair of input seed `seed`.
+    fn new(ctx: &Ctx, seed: u64) -> SparseCase {
+        let (left, right) = phrase_relations(seed, sparse_rows(ctx));
+        SparseCase { left, right, expected: SameAnswer::default() }
+    }
+
     fn session(&self, config: &SessionConfig) -> ExplainSession {
         ExplainSession::new(self.left.clone(), self.right.clone(), phrase_matches(), config.clone())
     }
@@ -253,49 +288,59 @@ impl SparseCase {
     }
 }
 
-fn sparse_cases(ctx: &Ctx) -> Vec<SparseCase> {
-    let rows = if ctx.smoke { 400 } else { 5000 };
-    (0..SPARSE_CASES)
-        .map(|k| {
-            let (left, right) =
-                phrase_relations(ctx.seed.wrapping_mul(SPARSE_CASES).wrapping_add(k), rows);
-            SparseCase { left, right, expected: SameAnswer::default() }
-        })
-        .collect()
-}
-
-/// `explain_sparse`: a cold `ExplainSession::explain` on two seeded
-/// phrase+year relations, a fresh session per sample.
+/// `explain_sparse`: a cold explanation of two seeded phrase+year
+/// relations: `ExplainSession::new` and `explain` on a fresh session. An
+/// untraced run generates a new relation pair for every sample (outside
+/// the timed call), so its medians cover as many inputs as it has samples.
 pub fn sparse(ctx: &Ctx) -> Report {
-    // Generation takes ~20 ms, so more repetitions keep its median steady.
-    let (setup_s, mut cases) = setup_median(9, || sparse_cases(ctx));
-    let mut report = Report::new(setup_s);
     let parallel_cfg = session_config();
-    let n = cases.len();
+    // Set-up: generate the warm-up input and explain it once.
+    let (setup_s, warm) = setup_median(SETUP_REPS, || {
+        let case = SparseCase::new(ctx, WARM_UP_SEED);
+        case.session(&parallel_cfg).explain()
+    });
+    let mut report = Report::new(setup_s);
+    SameAnswer::default().check(&mut report, &warm, "warm-up explain");
+    drop(warm);
 
     if !ctx.trace {
         let (mut unproven, mut milps, mut k) = (0, 0, 0);
         let times = sample_loop(ctx, MIN_SAMPLES, || {
-            let case = &mut cases[k % n];
             k += 1;
-            let mut session = case.session(&parallel_cfg);
+            let (left, right) = phrase_relations(sample_seed(ctx.seed, k as u64), sparse_rows(ctx));
+            fresh_heap(&mut report);
             let start = Instant::now();
+            let mut session =
+                ExplainSession::new(left, right, phrase_matches(), parallel_cfg.clone());
             let r = session.explain();
             let t = ms(start.elapsed());
+            note_peak(&mut report);
             unproven += r.stats.suboptimal_subproblems;
             milps += r.stats.milp_count;
-            case.expected.check(&mut report, &r, "session explain");
+            let mut expected = SameAnswer::default();
+            expected.check(&mut report, &r, "session explain");
+            if k % REPLAY_EVERY == 1 {
+                let mut tr = Tracer::default();
+                let rep = replay(
+                    &mut tr,
+                    session.left(),
+                    session.right(),
+                    &phrase_matches(),
+                    &parallel_cfg.explain,
+                    None,
+                    false,
+                );
+                expected.check(&mut report, &rep.report, "stage replay vs session");
+            }
             t
         });
         emit_explain_metrics(&mut report, &times, unproven, milps);
-        let mut tr = Tracer::default();
-        for case in &mut cases {
-            let r = case.replay(&mut tr, &parallel_cfg.explain, false);
-            case.expected.check(&mut report, &r.report, "stage replay vs session");
-        }
         return report;
     }
 
+    let mut cases: Vec<SparseCase> =
+        (1..=TRACED_CASES).map(|k| SparseCase::new(ctx, sample_seed(ctx.seed, k))).collect();
+    let n = cases.len();
     let mut tr = Tracer::default();
     let mut fold = LayerFold::default();
     let mut candidate_ms = Vec::new();
@@ -348,12 +393,8 @@ pub fn sparse(ctx: &Ctx) -> Report {
     report
 }
 
-/// Synthetic cases per `explain_dense` run. Cold-explain time varies a lot
-/// from case to case, so each run cycles over many seeded cases and
-/// reports medians over all of them.
-const DENSE_CASES: u64 = 32;
-/// Every this many cases, one is also explained sequentially at the end of
-/// an untraced run (the parallel-vs-sequential oracle).
+/// Every this many samples, from the first, an untraced run also explains
+/// the sample's case sequentially (the parallel-vs-sequential oracle).
 const SEQUENTIAL_EVERY: usize = 8;
 
 /// One dense case with its gold standard and the fingerprint every
@@ -366,6 +407,16 @@ struct DenseCase {
 }
 
 impl DenseCase {
+    /// The case of input seed `seed`: a `generate_synthetic` case with gold
+    /// and a small vocabulary, so branch-and-bound does real work.
+    fn new(ctx: &Ctx, seed: u64) -> DenseCase {
+        let n = if ctx.smoke { 200 } else { 2000 };
+        let config = SyntheticConfig::new(n, 0.3, 1000).with_seed(seed);
+        let case = generate(&config);
+        let gold = GoldStandard::new(case.gold.clone());
+        DenseCase { case, gold, expected: SameAnswer::default(), last: None }
+    }
+
     fn explain(&self, config: &Explain3DConfig) -> ExplanationReport {
         let c = &self.case;
         Explain3D::new(config.clone()).explain(
@@ -392,67 +443,62 @@ impl DenseCase {
     }
 }
 
-/// The dense cases: `generate_synthetic` cases with gold and a small
-/// vocabulary, so branch-and-bound does real work.
-fn dense_cases(ctx: &Ctx) -> Vec<DenseCase> {
-    let (n, v) = if ctx.smoke { (200, 1000) } else { (2000, 1000) };
-    (0..DENSE_CASES)
-        .map(|k| {
-            let seed = ctx.seed.wrapping_mul(DENSE_CASES).wrapping_add(k);
-            let case = generate(&SyntheticConfig::new(n, 0.3, v).with_seed(seed));
-            let gold = GoldStandard::new(case.gold.clone());
-            DenseCase { case, gold, expected: SameAnswer::default(), last: None }
-        })
-        .collect()
-}
-
-/// Mean explanation and evidence F-measure over the explained cases.
-fn mean_f1(cases: &[DenseCase]) -> (f64, f64) {
-    let scores: Vec<(f64, f64)> =
-        cases.iter().filter(|c| c.last.is_some()).map(DenseCase::f1).collect();
+/// Mean of (explanation, evidence) F-measure pairs.
+fn mean_f1(scores: &[(f64, f64)]) -> (f64, f64) {
     let n = scores.len().max(1) as f64;
     scores.iter().fold((0.0, 0.0), |(a, b), (x, y)| (a + x / n, b + y / n))
 }
 
 /// `explain_dense`: a cold `Explain3D::explain` (Stage 2 on the case's
-/// initial mapping) per sample, cycling over the run's cases.
+/// initial mapping) per sample. An untraced run generates a new case for
+/// every sample (outside the timed call), so its medians cover as many
+/// cases as it has samples.
 pub fn dense(ctx: &Ctx) -> Report {
-    let (setup_s, mut cases) = setup_median(3, || dense_cases(ctx));
-    let mut report = Report::new(setup_s);
     let parallel_cfg = Explain3DConfig::default();
     let sequential_cfg = Explain3DConfig::default().with_parallel(false);
+    // Set-up: generate the warm-up case and explain it once.
+    let (setup_s, warm) =
+        setup_median(SETUP_REPS, || DenseCase::new(ctx, WARM_UP_SEED).explain(&parallel_cfg));
+    let mut report = Report::new(setup_s);
+    SameAnswer::default().check(&mut report, &warm, "warm-up explain");
+    drop(warm);
 
     if !ctx.trace {
         let (mut unproven, mut milps, mut k) = (0, 0, 0);
+        let mut scores = Vec::new();
         let times = sample_loop(ctx, MIN_SAMPLES, || {
-            let n = cases.len();
-            let case = &mut cases[k % n];
             k += 1;
+            let mut case = DenseCase::new(ctx, sample_seed(ctx.seed, k as u64));
+            fresh_heap(&mut report);
             let start = Instant::now();
             let r = case.explain(&parallel_cfg);
             let t = ms(start.elapsed());
+            note_peak(&mut report);
             unproven += r.stats.suboptimal_subproblems;
             milps += r.stats.milp_count;
             case.check(&mut report, r, "explain");
+            scores.push(case.f1());
+            if k % SEQUENTIAL_EVERY == 1 {
+                let r = case.explain(&sequential_cfg);
+                case.check(&mut report, r, "sequential vs parallel explain");
+            }
             t
         });
         emit_explain_metrics(&mut report, &times, unproven, milps);
-        let (explanation_f1, evidence_f1) = mean_f1(&cases);
+        let (explanation_f1, evidence_f1) = mean_f1(&scores);
         report.detail("explanation_f1", explanation_f1, "ratio");
         report.detail("evidence_f1", evidence_f1, "ratio");
-        for case in cases.iter_mut().step_by(SEQUENTIAL_EVERY) {
-            let r = case.explain(&sequential_cfg);
-            case.check(&mut report, r, "sequential vs parallel explain");
-        }
         return report;
     }
 
+    let mut cases: Vec<DenseCase> =
+        (1..=TRACED_CASES).map(|k| DenseCase::new(ctx, sample_seed(ctx.seed, k))).collect();
     let mut tr = Tracer::default();
     let mut fold = LayerFold::default();
     let mut last = None;
     let start = Instant::now();
     while fold.wall.len() < MIN_TRACED || start.elapsed().as_secs_f64() < ctx.seconds {
-        let k = fold.wall.len() % TRACED_CASES.min(cases.len());
+        let k = fold.wall.len() % cases.len();
         let case = &mut cases[k];
         let t0 = Instant::now();
         let r = case.explain(&parallel_cfg);
@@ -478,9 +524,10 @@ pub fn dense(ctx: &Ctx) -> Report {
     }
     let last = last.expect("at least one traced iteration");
     report.metric("linkage.candidates", last.candidates as f64);
-    let (explanation_f1, evidence_f1) = mean_f1(&cases);
-    report.metric("quality.explanation_f1", explanation_f1);
-    report.metric("quality.evidence_f1", evidence_f1);
+    let scores: Vec<(f64, f64)> = cases.iter().map(DenseCase::f1).collect();
+    let (explanation_f1, evidence_f1) = mean_f1(&scores);
+    report.detail("explanation_f1", explanation_f1, "ratio");
+    report.detail("evidence_f1", evidence_f1, "ratio");
     fold.emit(&mut report, &last);
     report.tracer = Some(tr);
     report

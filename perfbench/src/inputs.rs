@@ -16,6 +16,17 @@ pub fn rng(seed: u64, stream: u64) -> StdRng {
     StdRng::seed_from_u64(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ stream)
 }
 
+/// The input seed of a run's `k`-th input: distinct for every (seed, k)
+/// with k below 2^20.
+pub fn sample_seed(seed: u64, k: u64) -> u64 {
+    seed.wrapping_mul(1 << 20).wrapping_add(k)
+}
+
+/// The input seed of the explain workloads' warm-up input. It is the same
+/// for every `--seed`, so set-up time does not depend on which input a
+/// seed happens to draw.
+pub const WARM_UP_SEED: u64 = u64::MAX;
+
 /// One phrase+year tuple with the given impact.
 pub fn phrase_tuple(rng: &mut StdRng, impact: f64) -> CanonicalTuple {
     let words = rng.gen_range(2..=4usize);

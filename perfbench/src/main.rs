@@ -105,6 +105,36 @@ pub fn setup_median<T>(reps: usize, mut f: impl FnMut() -> T) -> (f64, T) {
     (stats::median(&times), last.expect("at least one set-up repetition"))
 }
 
+/// Returns the heap's free memory to the operating system (glibc's
+/// `malloc_trim`), so that a sample's resident set starts from the live
+/// set, as in a fresh process, rather than from whatever the allocator's
+/// per-thread arenas happened to keep from earlier samples.
+pub fn trim_heap() {
+    #[cfg(all(target_os = "linux", target_env = "gnu"))]
+    {
+        // lint:allow(ffi-confinement): glibc's allocator has no safe std
+        // binding; the benchmark needs it to start every sample from the
+        // live set, and nothing else in it calls foreign code.
+        extern "C" {
+            fn malloc_trim(pad: usize) -> i32;
+        }
+        // SAFETY: malloc_trim takes a plain integer, touches only the
+        // allocator's own free lists under its own locks, and is safe to
+        // call from any thread at any time; its return value only says
+        // whether memory was released.
+        unsafe {
+            malloc_trim(0);
+        }
+    }
+}
+
+/// Resets this process's peak resident set (VmHWM) to its current resident
+/// set (Linux `/proc/self/clear_refs`), so the next read of the peak
+/// covers only what ran in between.
+pub fn reset_peak_rss() -> std::io::Result<()> {
+    std::fs::write("/proc/self/clear_refs", "5")
+}
+
 /// Peak resident set (VmHWM) of a process, in MB.
 pub fn peak_rss_mb(pid: &str) -> Option<f64> {
     let status = std::fs::read_to_string(format!("/proc/{pid}/status")).ok()?;

@@ -50,8 +50,6 @@ pub const PER_LAYER: &[(&str, &str)] = &[
     ("durability.wal_append_us", "us"),
     ("durability.fsync_us", "us"),
     ("durability.wal_bytes_per_delta", "B"),
-    ("quality.explanation_f1", "ratio"),
-    ("quality.evidence_f1", "ratio"),
     ("trace.overhead_ms", "ms"),
     ("trace.coverage", "ratio"),
 ];

@@ -3,20 +3,23 @@
 
 use crate::answer::Answer;
 use crate::inputs::{
-    create_body, delta_body, phrase_matches, phrase_relations, session_config, DeltaGen,
+    create_body, delta_body, phrase_matches, phrase_relations, sample_seed, session_config,
+    DeltaGen,
 };
 use crate::serve::{in_process, Replayed};
 use crate::stats::{label, max, median, min, percentile, tail_percentile};
 use crate::trace::Tracer;
-use crate::{mb, ms, setup_median, Ctx, Report};
+use crate::{mb, ms, peak_rss_mb, setup_median, Ctx, Report};
 use explain3d::core::pipeline::DeltaStats;
 use explain3d::prelude::*;
 use std::time::Instant;
 
 /// Operations per delta (the size ROADMAP item 3 targets).
 const DELTA_OPS: usize = 50;
-/// Deltas a run applies at least (the tail is p95).
-const MIN_SAMPLES: usize = 200;
+/// Deltas a run applies at least (the tail is p90). Some seeds grow a
+/// component that takes seconds to re-solve now and then; a small minimum
+/// keeps such a run close to `--seconds`.
+const MIN_SAMPLES: usize = 100;
 /// Deltas of a traced run that are replayed once more through the service
 /// layers (`wire` and a durable `SessionRegistry`), so the `service` and
 /// `durability` layer metrics are measured on this workload too.
@@ -51,8 +54,14 @@ pub fn run(ctx: &Ctx) -> Report {
         let report = session.explain();
         (session, report)
     };
+    // Each set-up repetition cold-explains its own seeded relation pair, and
+    // the last one becomes the hot session. A few pairs in five take 3–7 s
+    // instead of ~0.7 s (a large component to solve), so the median over
+    // three pairs keeps set-up time from resting on one draw.
+    let mut pair = 0;
     let (setup_s, (mut session, first)) = setup_median(3, || {
-        let (left, right) = phrase_relations(ctx.seed, rows);
+        pair += 1;
+        let (left, right) = phrase_relations(sample_seed(ctx.seed, pair), rows);
         cold(left, right)
     });
     let mut report = Report::new(setup_s);
@@ -111,6 +120,12 @@ pub fn run(ctx: &Ctx) -> Report {
             replay_expected = Some(Answer::of_report(&r));
         }
         last = Some(r);
+        // The resident set is read after a fixed number of deltas, so every
+        // run measures the same work; a time-bound count would make it
+        // follow the host's speed (the session grows with every delta).
+        if untraced.len() + traced.len() == MIN_SAMPLES {
+            report.peak_rss_mb = peak_rss_mb("self");
+        }
     }
     let last = last.expect("at least one delta");
     // Oracle: the hot session's last report equals a cold session's on the

@@ -25,9 +25,9 @@ UNIT = re.compile(r"^[A-Za-z0-9_/%.-]{1,16}$")
 with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
     BENCH = json.load(f)
 WORKLOADS = [w["name"] for w in BENCH["workloads"]]
-# serve_mixed runs from run.py but is not in BENCHMARK.json (README.md says
-# why); its smoke runs check it emits the same tables.
-RUNNABLE = WORKLOADS + ["serve_mixed"]
+# explain_dense and serve_mixed run from run.py but are not in BENCHMARK.json
+# (README.md says why); their smoke runs check they emit the same tables.
+RUNNABLE = WORKLOADS + ["explain_dense", "serve_mixed"]
 
 
 def run(*args, cwd=ROOT):
