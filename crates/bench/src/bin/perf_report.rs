@@ -335,13 +335,9 @@ fn main() {
         && seq_report.complete == par_report.complete;
     let pipeline_speedup = seq_stats.median_secs() / par_stats.median_secs().max(1e-12);
     println!(
-        "stage2_pipeline: {} partitions, outputs identical: {pipeline_identical}, speedup {pipeline_speedup:.2}x",
-        par_report.stats.num_subproblems
-    );
-    println!(
-        "stage2_pipeline: packed to {} parts (target k = {}, {} split components, {} oversized)",
-        par_report.stats.num_subproblems,
-        par_report.stats.target_parts,
+        "stage2_pipeline: {} MILPs ({} split components, {} oversized parts), \
+         outputs identical: {pipeline_identical}, speedup {pipeline_speedup:.2}x",
+        par_report.stats.milp_count,
         par_report.stats.split_components,
         par_report.stats.oversized_parts
     );
@@ -540,14 +536,12 @@ fn main() {
     );
     println!(
         "incremental: {} component hits / {} misses, {} pair hits / {} misses, \
-         {} candidates reused, {} parts reused / {} dirty",
+         {} candidates reused",
         inc_stats.component_cache_hits,
         inc_stats.component_cache_misses,
         inc_stats.pair_cache_hits,
         inc_stats.pair_cache_misses,
         inc_stats.candidates_reused,
-        inc_stats.parts_reused,
-        inc_stats.parts_dirty,
     );
 
     // --- Service: N closed-loop clients through the in-process HTTP
@@ -1212,8 +1206,7 @@ fn main() {
         .set(
             "stage2_pipeline",
             Json::obj()
-                .set("partitions", par_report.stats.num_subproblems)
-                .set("target_parts", par_report.stats.target_parts)
+                .set("milp_count", par_report.stats.milp_count)
                 .set("split_components", par_report.stats.split_components)
                 .set("oversized_parts", par_report.stats.oversized_parts)
                 .set("threads", par_report.stats.threads)
@@ -1259,9 +1252,7 @@ fn main() {
                 .set("component_cache_misses", inc_stats.component_cache_misses)
                 .set("pair_cache_hits", inc_stats.pair_cache_hits)
                 .set("pair_cache_misses", inc_stats.pair_cache_misses)
-                .set("candidates_reused", inc_stats.candidates_reused)
-                .set("parts_reused", inc_stats.parts_reused)
-                .set("parts_dirty", inc_stats.parts_dirty),
+                .set("candidates_reused", inc_stats.candidates_reused),
         )
         .set(
             "service",
@@ -1359,18 +1350,5 @@ fn main() {
         gen_stats.peak_resident_pairs <= threads.max(1) * gen_stats.chunk_pairs,
         "streaming residency {} exceeded threads × chunk bound",
         gen_stats.peak_resident_pairs
-    );
-    // First-fit packing guarantees no two parts can merge within the bound,
-    // which caps the count at 2·target + 1 for *any* workload; the default
-    // bench workload packs all the way down to target + splits (recorded in
-    // the JSON for the trajectory), but that tighter bound is
-    // workload-dependent, so it is not asserted here.
-    assert!(
-        par_report.stats.num_subproblems
-            <= 2 * par_report.stats.target_parts + 1 + par_report.stats.oversized_parts,
-        "packed part count {} exceeded the first-fit bound for target {} (+ {} oversized)",
-        par_report.stats.num_subproblems,
-        par_report.stats.target_parts,
-        par_report.stats.oversized_parts
     );
 }

@@ -54,65 +54,6 @@ impl SubProblem {
     pub fn is_empty(&self) -> bool {
         self.size() == 0
     }
-
-    /// Splits the sub-problem into its maximal connected components (with
-    /// respect to its own matches). Isolated tuples become singleton
-    /// components. Components are returned in deterministic order (by
-    /// smallest member in `left_tuples ++ right_tuples` order), each with
-    /// tuples in the order they appear in the parent and matches in the
-    /// parent's match order.
-    ///
-    /// The MILP objective decomposes over connected components, so solving
-    /// each component separately and merging is exact — this is what lets a
-    /// batch-packed partition (several small components per part) keep the
-    /// per-MILP size at the component scale instead of the part scale.
-    pub fn connected_components(&self) -> Vec<SubProblem> {
-        let nl = self.left_tuples.len();
-        let n = nl + self.right_tuples.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        // Local ids: 0..nl = left tuples, nl..n = right tuples.
-        let left_local: HashMap<usize, usize> =
-            self.left_tuples.iter().enumerate().map(|(i, &t)| (t, i)).collect();
-        let right_local: HashMap<usize, usize> =
-            self.right_tuples.iter().enumerate().map(|(j, &t)| (t, nl + j)).collect();
-        let mut dsu = explain3d_partition::DisjointSet::new(n);
-        for m in &self.matches {
-            if let (Some(&a), Some(&b)) = (left_local.get(&m.left), right_local.get(&m.right)) {
-                dsu.union(a, b);
-            }
-        }
-        let groups = dsu.groups();
-        let mut comp_of = vec![usize::MAX; n];
-        for (c, group) in groups.iter().enumerate() {
-            for &id in group {
-                comp_of[id] = c;
-            }
-        }
-        let mut out: Vec<SubProblem> = groups
-            .iter()
-            .map(|group| {
-                let mut comp = SubProblem::default();
-                for &id in group {
-                    if id < nl {
-                        comp.left_tuples.push(self.left_tuples[id]);
-                    } else {
-                        comp.right_tuples.push(self.right_tuples[id - nl]);
-                    }
-                }
-                comp
-            })
-            .collect();
-        for m in &self.matches {
-            if let Some(&a) = left_local.get(&m.left) {
-                if right_local.contains_key(&m.right) {
-                    out[comp_of[a]].matches.push(*m);
-                }
-            }
-        }
-        out
-    }
 }
 
 /// Variable handles for one tuple. The `y`/`p` handles are kept for
@@ -334,15 +275,20 @@ pub fn encode(
         match_vars.push((*m, z));
     }
 
-    // --- Validity constraints (Eq. 10). ---
+    // --- Validity constraints (Eq. 10), in tuple order: row order steers
+    // the branch-and-bound search, so it must not follow hash order. ---
     if relation.left_degree_limited() {
-        for (&i, expr) in &left_degree {
-            model.add_le(format!("valid_left_{i}"), expr.clone(), 1.0);
+        for i in &sub.left_tuples {
+            if let Some(expr) = left_degree.get(i) {
+                model.add_le(format!("valid_left_{i}"), expr.clone(), 1.0);
+            }
         }
     }
     if relation.right_degree_limited() {
-        for (&j, expr) in &right_degree {
-            model.add_le(format!("valid_right_{j}"), expr.clone(), 1.0);
+        for j in &sub.right_tuples {
+            if let Some(expr) = right_degree.get(j) {
+                model.add_le(format!("valid_right_{j}"), expr.clone(), 1.0);
+            }
         }
     }
 
@@ -754,6 +700,29 @@ mod tests {
         let e = decode(&enc, &sol);
         assert!(e.evidence.contains_pair(0, 0));
         assert!(!e.evidence.contains_pair(1, 1));
+    }
+
+    #[test]
+    fn encoding_emits_constraints_in_a_fixed_order() {
+        // A 16-tuple chain: every tuple has a degree row under ≡. Each
+        // encode builds fresh hash maps, so rows taken from hash order
+        // would come out in a different order from run to run.
+        let names: Vec<String> = (0..8).map(|i| format!("e{i}")).collect();
+        let entries: Vec<(&str, f64)> = names.iter().map(|n| (n.as_str(), 1.0)).collect();
+        let (t1, t2) = (canon("Q1", &entries), canon("Q2", &entries));
+        let chain: Vec<(usize, usize, f64)> =
+            (0..8).flat_map(|i| [(i, i, 0.9), (i, (i + 1) % 8, 0.4)]).collect();
+        let sub = SubProblem::full(&t1, &t2, &mapping(&chain));
+        let params = ProbabilityParams::default();
+        let rows = || -> Vec<String> {
+            let enc = encode(&t1, &t2, SemanticRelation::Equivalent, &params, &sub);
+            enc.model.constraints().iter().map(|c| c.name.clone()).collect()
+        };
+        let first = rows();
+        assert!(first.iter().any(|n| n == "valid_left_0"));
+        for _ in 0..8 {
+            assert_eq!(rows(), first);
+        }
     }
 
     #[test]

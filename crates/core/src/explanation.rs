@@ -9,7 +9,7 @@
 
 use crate::attr_match::SemanticRelation;
 use crate::canonical::CanonicalRelation;
-use explain3d_linkage::TupleMapping;
+use explain3d_linkage::{TupleMapping, TupleMatch};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
@@ -113,10 +113,18 @@ impl ExplanationSet {
         }
     }
 
-    /// Sorts the explanations deterministically (for stable reports/tests).
+    /// Sorts the explanations and the evidence canonically — provenance and
+    /// value explanations by `(side, tuple)`, evidence by `(left, right)` —
+    /// so a merged report depends only on its content, not on the order
+    /// sub-problems were merged in.
     pub fn normalise(&mut self) {
         self.provenance.sort();
         self.value.sort_by_key(|e| (e.side, e.tuple));
+        if !self.evidence.matches().is_sorted_by_key(TupleMatch::pair) {
+            let mut evidence = self.evidence.matches().to_vec();
+            evidence.sort_by_key(TupleMatch::pair);
+            self.evidence = TupleMapping::from_matches(evidence);
+        }
     }
 
     /// Checks the *completeness* of the explanations (Definition 3.4): after
@@ -273,7 +281,6 @@ impl ExplanationSet {
 mod tests {
     use super::*;
     use crate::canonical::{CanonicalRelation, CanonicalTuple};
-    use explain3d_linkage::TupleMatch;
     use explain3d_relation::prelude::{Row, Schema, Value, ValueType};
 
     fn canon(name: &str, attr: &str, entries: &[(&str, f64)]) -> CanonicalRelation {

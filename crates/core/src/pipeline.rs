@@ -5,7 +5,8 @@
 //! tuple mapping, the pipeline
 //!
 //! 1. builds the bipartite mapping graph,
-//! 2. splits it according to the configured [`PartitioningStrategy`],
+//! 2. splits it into sub-problems according to the configured
+//!    [`PartitioningStrategy`],
 //! 3. encodes and solves one MILP per sub-problem,
 //! 4. merges the decoded explanations and scores the result.
 
@@ -14,9 +15,9 @@ use crate::canonical::CanonicalRelation;
 use crate::encode::{solve_subproblem, SubProblem};
 use crate::explanation::ExplanationSet;
 use crate::probability::{log_probability, ProbabilityParams};
-use explain3d_linkage::TupleMapping;
+use explain3d_linkage::{TupleMapping, TupleMatch};
 use explain3d_milp::prelude::MilpConfig;
-use explain3d_partition::{smart_partition_packed, MappingGraph, SmartPartitionConfig};
+use explain3d_partition::{smart_partition, Component, MappingGraph, SmartPartitionConfig};
 use std::time::{Duration, Instant};
 
 /// How Stage 2 splits the problem before encoding MILPs.
@@ -28,8 +29,9 @@ pub enum PartitioningStrategy {
     /// Split into maximal connected components of the mapping graph (exact,
     /// but no size guarantee — Section 4's motivating observation).
     ConnectedComponents,
-    /// Smart partitioning (Algorithm 3) with the given batch size:
-    /// `k = ⌈(|T1|+|T2|)/batch⌉` partitions of size at most `batch`.
+    /// Smart partitioning (Algorithm 3) with the given batch size: the
+    /// connected components, except that a component larger than the batch
+    /// is split along low-weight edges into parts of at most `batch` tuples.
     Smart {
         /// Maximum number of tuples per partition.
         batch_size: usize,
@@ -46,8 +48,8 @@ pub struct Explain3DConfig {
     /// MILP solver configuration (per sub-problem).
     pub milp: MilpConfig,
     /// Solve sub-problem MILPs concurrently across CPU cores. Partitioning
-    /// produces independent sub-problems by construction and results are
-    /// merged in partition order, so parallel and sequential runs return
+    /// produces independent sub-problems by construction and the merged
+    /// report is normalised, so parallel and sequential runs return
     /// identical reports **as long as the MILP search itself is
     /// deterministic** — which it is by default: [`MilpConfig`] bounds the
     /// search with a deterministic per-model *node budget* derived from
@@ -152,10 +154,6 @@ pub struct DeltaStats {
     pub component_cache_hits: usize,
     /// Sub-problem components that had to be (re-)solved.
     pub component_cache_misses: usize,
-    /// Packed parts whose every component hit the solution cache.
-    pub parts_reused: usize,
-    /// Packed parts containing at least one re-solved component.
-    pub parts_dirty: usize,
     /// Dirty-component solves that successfully imported a persisted basis
     /// ([`explain3d_milp::prelude::SolveStats::final_basis`]).
     pub warm_basis_imports: usize,
@@ -189,16 +187,8 @@ pub struct PipelineStats {
     pub max_subproblem_time: Duration,
     /// Worker threads used for the solve phase (1 when sequential).
     pub threads: usize,
-    /// Number of sub-problems (MILPs) solved.
-    pub num_subproblems: usize,
-    /// Target part count of the smart partitioner,
-    /// `k = ⌈(|T1| + |T2|) / batch⌉` (0 for the other strategies). The
-    /// packed partitioner lands `num_subproblems` at
-    /// `target_parts + split_components` or below on pack-friendly
-    /// workloads, instead of one part per connected component.
-    pub target_parts: usize,
-    /// Connected components the smart partitioner had to split across parts
-    /// because they exceeded the batch bound (0 for other strategies).
+    /// Connected components the smart partitioner split because they
+    /// exceeded the batch bound (0 for other strategies).
     pub split_components: usize,
     /// Smart-partition parts exceeding the batch bound because a single
     /// high-probability cluster is larger than the batch itself (0 for
@@ -208,10 +198,7 @@ pub struct PipelineStats {
     pub max_subproblem_size: usize,
     /// Total branch-and-bound nodes across all MILPs.
     pub milp_nodes: usize,
-    /// Total MILPs solved. With smart partitioning this is the number of
-    /// connected components (each packed part is solved component-wise, so
-    /// `milp_count >= num_subproblems`); otherwise it equals
-    /// [`num_subproblems`](PipelineStats::num_subproblems).
+    /// Number of sub-problems, i.e. MILPs, solved.
     pub milp_count: usize,
     /// Number of MILPs that hit a limit before proving optimality (their
     /// solutions are feasible but possibly sub-optimal).
@@ -278,11 +265,11 @@ impl Explain3D {
         let (jobs, meta) = component_jobs(self.config.strategy, left, right, mapping);
         let partition_time = partition_start.elapsed();
 
-        // Solve the components on the work-stealing pool. They are
+        // Solve the sub-problems on the work-stealing pool. They are
         // independent by construction and results come back in input order,
-        // so the merge below is identical to a sequential nested loop over
-        // parts and their components — one huge component keeps only one
-        // worker busy while the rest of the pool drains the other parts.
+        // so the merge below is identical to a sequential loop — one huge
+        // component keeps only one worker busy while the rest of the pool
+        // drains the others.
         let solve_start = Instant::now();
         let requested = self.config.requested_threads();
         let threads = requested.min(jobs.len()).max(1);
@@ -292,7 +279,9 @@ impl Explain3D {
                 jobs,
                 requested,
                 |(_, sub)| sub.size().max(1),
-                |(part, sub)| (part, solve_component(left, right, relation, config, &sub, None)),
+                |(source, sub)| {
+                    (source, solve_component(left, right, relation, config, &sub, None))
+                },
             );
 
         let mut report =
@@ -321,36 +310,31 @@ impl Explain3D {
     }
 }
 
-/// Partition-phase metadata: per-part sizes plus the packing diagnostics.
-/// Produced by [`component_jobs`] alongside the job list; consumed by
-/// [`assemble_report`] so the cold pipeline and the incremental
-/// re-explanation path fold statistics identically.
+/// Partition-phase statistics, produced by [`component_jobs`] alongside the
+/// job list and folded into the report by [`assemble_report`], so the cold
+/// pipeline and the incremental re-explanation path report them alike.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PartitionMeta {
-    /// Size (tuples) of each non-empty part, in partition order.
-    pub part_sizes: Vec<usize>,
-    /// Target part count `k` of the smart partitioner (0 otherwise).
-    pub target_parts: usize,
-    /// Components split across parts by the smart partitioner.
+    /// Size (tuples) of the largest sub-problem.
+    pub max_subproblem_size: usize,
+    /// Components split by the smart partitioner.
     pub split_components: usize,
     /// Parts exceeding the batch bound (unsplittable clusters).
     pub oversized_parts: usize,
 }
 
-/// Splits the problem into per-part *component* jobs according to the
-/// strategy — the partition phase of [`Explain3D::explain`], exposed so the
-/// incremental re-explanation subsystem derives **exactly** the job list a
-/// cold run would solve (the byte-identity invariant hinges on it).
+/// Splits the problem into sub-problem jobs according to the strategy — the
+/// partition phase of [`Explain3D::explain`], exposed so the incremental
+/// re-explanation subsystem derives **exactly** the job list a cold run
+/// would solve (the byte-identity invariant hinges on it).
 ///
-/// A batch-packed part holds several independent connected components
-/// (packing merges small components to hit the target part count); the MILP
-/// objective decomposes over components, so the solve phase schedules one
-/// MILP per component. The partitioner already knows the component
-/// structure (`component_parts`), so no per-part union-find re-derivation
-/// is needed. Empty parts are dropped here so all code paths see the same
-/// work list. Jobs are `(part index, component)` pairs, part-major in
-/// partition order — exactly the order a sequential nested loop would solve
-/// and merge them in.
+/// Each job is `(source, sub-problem)`, where `source` is the index of the
+/// job's connected component of the mapping graph, in
+/// [`MappingGraph::connected_components`] order. `ConnectedComponents` and
+/// `Smart` emit one job per component, in that order; `Smart` replaces a
+/// component larger than the batch with the parts of its Algorithm 3 split,
+/// which share the component's `source`. `None` emits the whole problem as
+/// one job with source 0 (no job when both relations are empty).
 pub fn component_jobs(
     strategy: PartitioningStrategy,
     left: &CanonicalRelation,
@@ -367,60 +351,42 @@ pub fn component_jobs(
 
     let mut meta = PartitionMeta::default();
     let mut jobs: Vec<(usize, SubProblem)> = Vec::new();
-    let push_part = |comps: Vec<SubProblem>,
-                     jobs: &mut Vec<(usize, SubProblem)>,
-                     part_sizes: &mut Vec<usize>| {
-        let size: usize = comps.iter().map(SubProblem::size).sum();
-        if size == 0 {
-            return;
-        }
-        let part = part_sizes.len();
-        part_sizes.push(size);
-        jobs.extend(comps.into_iter().filter(|c| !c.is_empty()).map(|c| (part, c)));
-    };
     match strategy {
         PartitioningStrategy::None => {
-            push_part(
-                vec![SubProblem::full(left, right, mapping)],
-                &mut jobs,
-                &mut meta.part_sizes,
-            );
+            let full = SubProblem::full(left, right, mapping);
+            if !full.is_empty() {
+                jobs.push((0, full));
+            }
         }
         PartitioningStrategy::ConnectedComponents => {
-            for c in graph.connected_components() {
-                push_part(
-                    vec![component_to_subproblem(&c, mapping)],
-                    &mut jobs,
-                    &mut meta.part_sizes,
-                );
+            for (source, c) in graph.connected_components().iter().enumerate() {
+                jobs.push((source, component_to_subproblem(c, mapping)));
             }
         }
         PartitioningStrategy::Smart { batch_size } => {
             let cfg = SmartPartitionConfig::with_batch_size(batch_size);
-            let packed = smart_partition_packed(&graph, &cfg);
-            meta.target_parts = packed.target_parts;
-            meta.split_components = packed.split_components;
-            meta.oversized_parts = packed.oversized_parts.len();
-            for comps in packed.component_parts(&graph) {
-                push_part(
-                    comps.iter().map(|c| component_to_subproblem(c, mapping)).collect(),
-                    &mut jobs,
-                    &mut meta.part_sizes,
-                );
+            for (source, parts) in smart_partition(&graph, &cfg).into_iter().enumerate() {
+                meta.split_components += usize::from(parts.len() > 1);
+                for part in parts {
+                    meta.oversized_parts += usize::from(part.oversized);
+                    jobs.push((source, component_to_subproblem(&part.tuples, mapping)));
+                }
             }
         }
     }
+    meta.max_subproblem_size = jobs.iter().map(|(_, sub)| sub.size()).max().unwrap_or(0);
     (jobs, meta)
 }
 
 /// Merges per-component outcomes into the final report — the deterministic
 /// tail of [`Explain3D::explain`], shared with the incremental path so a
 /// re-explanation that substitutes cached outcomes for solves assembles a
-/// byte-identical report. Outcomes must arrive in job order (the
-/// work-stealing scheduler preserves input order). Timing fields
-/// (`partition_time`, `solve_time`, `total_time`, `candidate_time`) and
-/// scheduler fields (`threads`, `steals`) are left at their defaults for
-/// the caller to fill; `assemble_time` is measured here.
+/// byte-identical report. The merged explanations are normalised, so the
+/// report does not depend on the order outcomes arrive in; the job's
+/// source index is not read. Timing fields (`partition_time`,
+/// `solve_time`, `total_time`, `candidate_time`) and scheduler fields
+/// (`threads`, `steals`) are left at their defaults for the caller to
+/// fill; `assemble_time` is measured here.
 pub fn assemble_report(
     left: &CanonicalRelation,
     right: &CanonicalRelation,
@@ -433,26 +399,30 @@ pub fn assemble_report(
     let relation = matches.mapping_relation();
     let mut merged = ExplanationSet::new();
     let mut stats = PipelineStats {
-        target_parts: meta.target_parts,
         split_components: meta.split_components,
         oversized_parts: meta.oversized_parts,
-        num_subproblems: meta.part_sizes.len(),
-        max_subproblem_size: meta.part_sizes.iter().copied().max().unwrap_or(0),
+        max_subproblem_size: meta.max_subproblem_size,
         threads: 1,
         ..Default::default()
     };
     let assemble_start = Instant::now();
-    let mut part_times = vec![Duration::ZERO; meta.part_sizes.len()];
-    for (part, outcome) in outcomes {
+    // The evidence is collected and sorted before the mapping's indexes are
+    // built, so they are built once.
+    let mut evidence = Vec::new();
+    for (_, outcome) in outcomes {
         stats.milp_nodes += outcome.nodes;
         stats.milp_count += 1;
         stats.suboptimal_subproblems += outcome.suboptimal;
         stats.warm_lp_solves += outcome.warm_lp_solves;
         stats.solve_cpu_time += outcome.solve_time;
-        part_times[part] += outcome.solve_time;
-        merged.merge(outcome.explanations);
+        stats.max_subproblem_time = stats.max_subproblem_time.max(outcome.solve_time);
+        let ExplanationSet { provenance, value, evidence: part } = outcome.explanations;
+        merged.provenance.extend(provenance);
+        merged.value.extend(value);
+        evidence.extend_from_slice(part.matches());
     }
-    stats.max_subproblem_time = part_times.into_iter().max().unwrap_or(Duration::ZERO);
+    evidence.sort_by_key(TupleMatch::pair);
+    merged.evidence = TupleMapping::from_matches(evidence);
     merged.normalise();
 
     let log_prob = log_probability(&merged, left, right, mapping, &config.params);
@@ -528,12 +498,9 @@ pub fn solve_component(
     }
 }
 
-/// Converts a partition/component into a sub-problem, restricting matches to
-/// the component's own edges.
-fn component_to_subproblem(
-    component: &explain3d_partition::Component,
-    mapping: &TupleMapping,
-) -> SubProblem {
+/// Converts a component or part into a sub-problem, restricting matches to
+/// its own edges.
+fn component_to_subproblem(component: &Component, mapping: &TupleMapping) -> SubProblem {
     SubProblem {
         left_tuples: component.left.clone(),
         right_tuples: component.right.clone(),
@@ -631,26 +598,18 @@ mod tests {
     fn stats_reflect_partitioning() {
         let (t1, t2, mapping) = scenario(12);
         let no_opt = Explain3D::new(Explain3DConfig::no_opt()).explain(&t1, &t2, &attr(), &mapping);
-        assert_eq!(no_opt.stats.num_subproblems, 1);
+        assert_eq!(no_opt.stats.milp_count, 1);
         assert_eq!(no_opt.stats.max_subproblem_size, t1.len() + t2.len());
 
         let batched =
             Explain3D::new(Explain3DConfig::batched(6)).explain(&t1, &t2, &attr(), &mapping);
-        assert!(batched.stats.num_subproblems > 1);
+        assert!(batched.stats.milp_count > 1);
         assert!(batched.stats.max_subproblem_size <= 6);
-        // Packing diagnostics: 23 tuples / batch 6 → k = 4, and the packed
-        // part count stays within target + splits (no oversized clusters).
-        assert_eq!(batched.stats.target_parts, 4);
+        // The 22-tuple chain is the one component above the batch: it is
+        // split, and no high-probability cluster exceeds the batch.
+        assert_eq!(batched.stats.split_components, 1);
         assert_eq!(batched.stats.oversized_parts, 0);
-        assert!(
-            batched.stats.num_subproblems
-                <= batched.stats.target_parts + batched.stats.split_components,
-            "{} sub-problems for target {} + {} splits",
-            batched.stats.num_subproblems,
-            batched.stats.target_parts,
-            batched.stats.split_components
-        );
-        assert_eq!(no_opt.stats.target_parts, 0);
+        assert_eq!(no_opt.stats.split_components, 0);
 
         let cc = Explain3D::new(Explain3DConfig::connected_components()).explain(
             &t1,
@@ -658,7 +617,7 @@ mod tests {
             &attr(),
             &mapping,
         );
-        assert!(cc.stats.num_subproblems >= 1);
+        assert!(cc.stats.milp_count >= 1);
         assert!(cc.stats.total_time >= cc.stats.solve_time);
     }
 
@@ -680,12 +639,12 @@ mod tests {
             assert_eq!(par.explanations, seq.explanations);
             assert_eq!(par.log_probability.to_bits(), seq.log_probability.to_bits());
             assert_eq!(par.complete, seq.complete);
-            assert_eq!(par.stats.num_subproblems, seq.stats.num_subproblems);
+            assert_eq!(par.stats.milp_count, seq.stats.milp_count);
             assert_eq!(par.stats.milp_nodes, seq.stats.milp_nodes);
             assert_eq!(seq.stats.threads, 1);
             // Per-sub-problem timings fold into the aggregate stats.
             assert!(par.stats.solve_cpu_time >= par.stats.max_subproblem_time);
-            if par.stats.num_subproblems > 0 {
+            if par.stats.milp_count > 0 {
                 assert!(par.stats.max_subproblem_time > Duration::ZERO);
             }
         }
@@ -724,7 +683,7 @@ mod tests {
         let report = Explain3D::with_defaults().explain(&t1, &t2, &attr(), &TupleMapping::new());
         assert!(report.explanations.is_empty());
         assert!(report.complete);
-        assert_eq!(report.stats.num_subproblems, 0);
+        assert_eq!(report.stats.milp_count, 0);
     }
 
     #[test]

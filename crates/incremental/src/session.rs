@@ -27,10 +27,8 @@
 //!    the cold enumeration's output element for element.
 //! 2. **Partition.** The job list is derived by the *same*
 //!    [`explain3d_core::pipeline::component_jobs`] call the cold pipeline
-//!    uses, on the identical mapping — batch packing is global (first-fit
-//!    decreasing over all components), so it is deterministically recomputed
-//!    rather than patched; what is reused across the new layout is the
-//!    per-component solutions, which packing only groups, never alters.
+//!    uses, on the identical mapping, so it lists the same components; what
+//!    is reused across runs is the per-component solutions.
 //! 3. **Solutions.** A component's MILP outcome is a deterministic function
 //!    of its *content* — member impacts and match probabilities in
 //!    component order (tuple identities only name variables; the paper's
@@ -45,7 +43,8 @@
 //!    objective-equivalent mode and stores/imports bases via
 //!    `milp::revised`).
 //! 4. **Merge.** Outcomes are folded by the shared
-//!    [`explain3d_core::pipeline::assemble_report`] in job order.
+//!    [`explain3d_core::pipeline::assemble_report`], which normalises the
+//!    merged explanations and evidence.
 //!
 //! `tests/incremental_equivalence.rs` pins the invariant over randomized
 //! delta sequences, including component splits and merges.
@@ -500,29 +499,20 @@ impl ExplainSession {
         // Resolve cache hits; collect misses with their job slots.
         let mut slots: Vec<Option<(usize, ComponentOutcome)>> = Vec::with_capacity(jobs.len());
         let mut missed: Vec<(usize, usize, SubProblem, Option<SparseBasis>)> = Vec::new();
-        let mut part_missed = vec![false; meta.part_sizes.len()];
-        for (slot, ((part, sub), hash)) in jobs.into_iter().zip(&hashes).enumerate() {
+        for (slot, ((source, sub), hash)) in jobs.into_iter().zip(&hashes).enumerate() {
             if let Some(entry) = self.solutions.get_mut(hash) {
                 entry.last_used = generation;
                 self.stats.component_cache_hits += 1;
-                slots.push(Some((part, entry.to_outcome(&sub))));
+                slots.push(Some((source, entry.to_outcome(&sub))));
             } else {
                 self.stats.component_cache_misses += 1;
-                part_missed[part] = true;
                 let warm = if self.config.warm_start_dirty {
                     self.bases_by_shape.get(&component_shape(&sub)).cloned()
                 } else {
                     None
                 };
-                missed.push((slot, part, sub, warm));
+                missed.push((slot, source, sub, warm));
                 slots.push(None);
-            }
-        }
-        for &m in &part_missed {
-            if m {
-                self.stats.parts_dirty += 1;
-            } else {
-                self.stats.parts_reused += 1;
             }
         }
 
@@ -537,12 +527,12 @@ impl ExplainSession {
             missed,
             requested,
             |(_, _, sub, _)| sub.size().max(1),
-            |(slot, part, sub, warm)| {
+            |(slot, source, sub, warm)| {
                 let outcome = solve_component(left, right, relation, explain_config, &sub, warm);
-                (slot, part, sub, outcome)
+                (slot, source, sub, outcome)
             },
         );
-        for (slot, part, sub, outcome) in solved {
+        for (slot, source, sub, outcome) in solved {
             if outcome.basis_imported {
                 self.stats.warm_basis_imports += 1;
             }
@@ -555,7 +545,7 @@ impl ExplainSession {
             }
             self.solutions
                 .insert(hashes[slot], CachedComponent::capture(&sub, &outcome, generation));
-            slots[slot] = Some((part, outcome));
+            slots[slot] = Some((source, outcome));
         }
         let outcomes: Vec<(usize, ComponentOutcome)> =
             slots.into_iter().map(|s| s.expect("every job slot resolved")).collect();
@@ -808,7 +798,6 @@ mod tests {
         assert_eq!(after.component_cache_misses, before.component_cache_misses);
         assert_eq!(after.pair_cache_misses, before.pair_cache_misses);
         assert!(after.component_cache_hits > before.component_cache_hits);
-        assert_eq!(after.parts_dirty, before.parts_dirty);
     }
 
     #[test]

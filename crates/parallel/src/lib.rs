@@ -6,14 +6,12 @@
 //! `rayon` is not available; this crate provides the small slice of it the
 //! hot paths need, implemented with [`std::thread::scope`]:
 //!
-//! * [`par_map`] / [`par_map_with`] — a parallel map over an owned work
-//!   list, scheduled by an atomic cursor;
-//! * [`par_map_stealing`] / [`par_map_stealing_weighted`] — a parallel map
-//!   on a **work-stealing** pool (per-worker deques, steal from the tail of
-//!   a victim) reporting [`StealStats`]; Stage 2 schedules sub-problem
-//!   *components* on it, so one huge component no longer serialises the
+//! * [`par_map_stealing_weighted`] — a parallel map over an owned work
+//!   list on a **work-stealing** pool (per-worker deques, steal from the
+//!   tail of a victim) reporting [`StealStats`]; Stage 2 schedules its
+//!   sub-problems on it, so one huge component does not serialise the
 //!   phase;
-//! * [`par_map_iter_stealing`] / [`par_map_iter_bounded`] — a **persistent
+//! * [`par_map_iter_stealing`] — a **persistent
 //!   worker pool** over a streaming source: workers pull the next item from
 //!   a mutex-guarded iterator as they finish the previous one, holding at
 //!   most `threads` items in flight, with no per-wave barrier or respawn.
@@ -51,72 +49,6 @@ pub fn max_threads() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
 }
 
-/// Maps `f` over `items` using up to [`max_threads`] workers, returning the
-/// results in input order.
-pub fn par_map<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    par_map_with(items, max_threads(), f)
-}
-
-/// Maps `f` over `items` using up to `threads` workers, returning the
-/// results in input order. `threads <= 1` (or fewer than two items) runs
-/// inline on the calling thread with no spawning overhead.
-pub fn par_map_with<T, R, F>(items: Vec<T>, threads: usize, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    let n = items.len();
-    let workers = threads.min(n);
-    if workers <= 1 {
-        return items.into_iter().map(f).collect();
-    }
-
-    // Each slot is taken exactly once (guarded by the atomic cursor), so the
-    // per-slot mutexes are uncontended; they exist only to move the owned
-    // item out of shared state without `unsafe`.
-    let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
-    let cursor = AtomicUsize::new(0);
-    let f = &f;
-    let slots = &slots;
-    let cursor = &cursor;
-
-    let mut indexed: Vec<(usize, R)> = Vec::with_capacity(n);
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            handles.push(scope.spawn(move || {
-                let mut local: Vec<(usize, R)> = Vec::new();
-                loop {
-                    let idx = cursor.fetch_add(1, Ordering::Relaxed);
-                    if idx >= n {
-                        break;
-                    }
-                    let item = slots[idx]
-                        .lock()
-                        .expect("parallel work slot poisoned")
-                        .take()
-                        .expect("parallel work slot taken twice");
-                    local.push((idx, f(item)));
-                }
-                local
-            }));
-        }
-        for h in handles {
-            indexed.extend(h.join().expect("parallel worker panicked"));
-        }
-    });
-
-    indexed.sort_by_key(|(idx, _)| *idx);
-    debug_assert_eq!(indexed.len(), n);
-    indexed.into_iter().map(|(_, r)| r).collect()
-}
-
 /// Scheduling statistics of one work-stealing (or streaming) run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StealStats {
@@ -128,23 +60,12 @@ pub struct StealStats {
     /// held them (always 0 for shared-source streaming runs, where items
     /// have no home worker).
     pub steals: usize,
-    /// Sum of item weights (with the unweighted entry points, the item
-    /// count).
+    /// Sum of item weights.
     pub total_weight: usize,
     /// Peak summed weight of the items in flight at one instant — the
     /// scheduler-side residency metric: each worker holds at most one item,
     /// so this is bounded by `workers × max item weight`.
     pub peak_resident_weight: usize,
-}
-
-/// [`par_map_stealing_weighted`] with unit weights.
-pub fn par_map_stealing<T, R, F>(items: Vec<T>, threads: usize, f: F) -> (Vec<R>, StealStats)
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    par_map_stealing_weighted(items, threads, |_| 1, f)
 }
 
 /// Maps `f` over `items` on a work-stealing worker pool, returning results
@@ -356,31 +277,10 @@ where
     (indexed.into_iter().map(|(_, r)| r).collect(), stats)
 }
 
-/// Maps `f` over the items of a (possibly unbounded) iterator using up to
-/// `threads` workers while holding at most `threads` *items* in memory at a
-/// time, returning results in input order.
-///
-/// This is the streaming twin of [`par_map_with`], implemented on the
-/// persistent pool of [`par_map_iter_stealing`]: workers pull items from
-/// the shared source as they finish the previous one — no wave barrier, no
-/// per-wave respawn — so at most `threads` items are resident at once with
-/// the exact output a fully materialised run would produce.
-pub fn par_map_iter_bounded<T, R, F>(
-    source: impl Iterator<Item = T> + Send,
-    threads: usize,
-    f: F,
-) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    par_map_iter_stealing(source, threads, |_| 1, f).0
-}
-
 /// Splits `0..len` into at most `pieces` contiguous, near-equal ranges
-/// (none empty). Useful for chunking index spaces before [`par_map`].
-pub fn split_ranges(len: usize, pieces: usize) -> Vec<std::ops::Range<usize>> {
+/// (none empty): the blocks [`par_map_stealing_weighted`] deals to its
+/// workers.
+fn split_ranges(len: usize, pieces: usize) -> Vec<std::ops::Range<usize>> {
     if len == 0 {
         return Vec::new();
     }
@@ -401,46 +301,60 @@ pub fn split_ranges(len: usize, pieces: usize) -> Vec<std::ops::Range<usize>> {
 mod tests {
     use super::*;
 
+    /// `par_map_stealing_weighted` with unit weights, results only.
+    fn stealing<T: Send, R: Send>(
+        items: Vec<T>,
+        threads: usize,
+        f: impl Fn(T) -> R + Sync,
+    ) -> Vec<R> {
+        par_map_stealing_weighted(items, threads, |_| 1, f).0
+    }
+
+    /// `par_map_iter_stealing` with unit weights, results only.
+    fn streaming<T: Send, R: Send>(
+        source: impl Iterator<Item = T> + Send,
+        threads: usize,
+        f: impl Fn(T) -> R + Sync,
+    ) -> Vec<R> {
+        par_map_iter_stealing(source, threads, |_| 1, f).0
+    }
+
     #[test]
     fn par_map_preserves_input_order() {
         let items: Vec<usize> = (0..1000).collect();
         let expected: Vec<usize> = items.iter().map(|x| x * 2).collect();
-        assert_eq!(par_map_with(items.clone(), 4, |x| x * 2), expected);
-        assert_eq!(par_map_with(items.clone(), 1, |x| x * 2), expected);
-        assert_eq!(par_map(items, |x| x * 2), expected);
+        assert_eq!(stealing(items.clone(), 4, |x| x * 2), expected);
+        assert_eq!(stealing(items.clone(), 1, |x| x * 2), expected);
+        assert_eq!(stealing(items, max_threads(), |x| x * 2), expected);
     }
 
     #[test]
     fn par_map_handles_edge_cases() {
-        assert_eq!(par_map_with(Vec::<usize>::new(), 4, |x| x), Vec::<usize>::new());
-        assert_eq!(par_map_with(vec![7], 4, |x| x + 1), vec![8]);
+        assert_eq!(stealing(Vec::<usize>::new(), 4, |x| x), Vec::<usize>::new());
+        assert_eq!(stealing(vec![7], 4, |x| x + 1), vec![8]);
         // More threads than items.
-        assert_eq!(par_map_with(vec![1, 2], 16, |x| x), vec![1, 2]);
+        assert_eq!(stealing(vec![1, 2], 16, |x| x), vec![1, 2]);
     }
 
     #[test]
     fn par_map_moves_owned_items() {
         let items = vec![String::from("a"), String::from("bb"), String::from("ccc")];
-        assert_eq!(par_map_with(items, 2, |s| s.len()), vec![1, 2, 3]);
+        assert_eq!(stealing(items, 2, |s| s.len()), vec![1, 2, 3]);
     }
 
     #[test]
     fn par_map_iter_bounded_preserves_order() {
         let expected: Vec<usize> = (0..997).map(|x| x * 3).collect();
-        assert_eq!(par_map_iter_bounded(0..997usize, 4, |x| x * 3), expected);
-        assert_eq!(par_map_iter_bounded(0..997usize, 1, |x| x * 3), expected);
-        assert_eq!(
-            par_map_iter_bounded(std::iter::empty::<usize>(), 4, |x| x),
-            Vec::<usize>::new()
-        );
-        // A single item, fewer items than the wave, and an exact multiple.
-        assert_eq!(par_map_iter_bounded(std::iter::once(7usize), 8, |x| x + 1), vec![8]);
-        assert_eq!(par_map_iter_bounded(0..8usize, 4, |x| x), (0..8).collect::<Vec<_>>());
+        assert_eq!(streaming(0..997usize, 4, |x| x * 3), expected);
+        assert_eq!(streaming(0..997usize, 1, |x| x * 3), expected);
+        assert_eq!(streaming(std::iter::empty::<usize>(), 4, |x| x), Vec::<usize>::new());
+        // A single item, fewer items than workers, and an exact multiple.
+        assert_eq!(streaming(std::iter::once(7usize), 8, |x| x + 1), vec![8]);
+        assert_eq!(streaming(0..8usize, 4, |x| x), (0..8).collect::<Vec<_>>());
     }
 
     #[test]
     fn par_map_iter_bounded_keeps_the_source_close_to_the_workers() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
         // Workers pull one item each from the shared source, so the source
         // never runs more than the pool's in-flight window ahead of any
         // item being processed.
@@ -449,7 +363,7 @@ mod tests {
             pulled.fetch_add(1, Ordering::Relaxed);
         });
         let max_lead = AtomicUsize::new(0);
-        let out = par_map_iter_bounded(source, 4, |x| {
+        let out = streaming(source, 4, |x| {
             let lead = pulled.load(Ordering::Relaxed).saturating_sub(x);
             max_lead.fetch_max(lead, Ordering::Relaxed);
             x
@@ -466,17 +380,17 @@ mod tests {
         let items: Vec<usize> = (0..1000).collect();
         let expected: Vec<usize> = items.iter().map(|x| x * 2).collect();
         for threads in [1, 2, 4, 16] {
-            let (out, stats) = par_map_stealing(items.clone(), threads, |x| x * 2);
+            let (out, stats) = par_map_stealing_weighted(items.clone(), threads, |_| 1, |x| x * 2);
             assert_eq!(out, expected, "threads={threads}");
             assert_eq!(stats.executed, 1000);
             assert_eq!(stats.total_weight, 1000);
             assert!(stats.workers <= threads.max(1));
         }
         // Edge cases.
-        let (out, stats) = par_map_stealing(Vec::<usize>::new(), 4, |x| x);
+        let (out, stats) = par_map_stealing_weighted(Vec::<usize>::new(), 4, |_| 1, |x| x);
         assert!(out.is_empty());
         assert_eq!(stats.executed, 0);
-        let (out, _) = par_map_stealing(vec![7], 4, |x| x + 1);
+        let (out, _) = par_map_stealing_weighted(vec![7], 4, |_| 1, |x| x + 1);
         assert_eq!(out, vec![8]);
     }
 
@@ -501,20 +415,25 @@ mod tests {
         // deadlock-free: worker 1 drains everything while item 0 waits).
         let item0_started = AtomicUsize::new(0);
         let done_others = AtomicUsize::new(0);
-        let (out, stats) = par_map_stealing((0..8usize).collect(), 2, |x| {
-            if x == 0 {
-                item0_started.store(1, Ordering::Relaxed);
-                while done_others.load(Ordering::Relaxed) < 7 {
-                    std::thread::yield_now();
+        let (out, stats) = par_map_stealing_weighted(
+            (0..8usize).collect(),
+            2,
+            |_| 1,
+            |x| {
+                if x == 0 {
+                    item0_started.store(1, Ordering::Relaxed);
+                    while done_others.load(Ordering::Relaxed) < 7 {
+                        std::thread::yield_now();
+                    }
+                } else {
+                    while item0_started.load(Ordering::Relaxed) == 0 {
+                        std::thread::yield_now();
+                    }
+                    done_others.fetch_add(1, Ordering::Relaxed);
                 }
-            } else {
-                while item0_started.load(Ordering::Relaxed) == 0 {
-                    std::thread::yield_now();
-                }
-                done_others.fetch_add(1, Ordering::Relaxed);
-            }
-            x * 10
-        });
+                x * 10
+            },
+        );
         assert_eq!(out, (0..8).map(|x| x * 10).collect::<Vec<_>>());
         assert_eq!(stats.steals, 3, "items 1..4 must be stolen from the blocked worker");
         assert_eq!(stats.workers, 2);

@@ -1,7 +1,6 @@
 //! The bipartite mapping graph `G = (T1, T2, M_tuple)` and its partitions.
 
 use crate::dsu::DisjointSet;
-use std::collections::BTreeSet;
 
 /// A weighted edge of the bipartite mapping graph: one tuple match.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -195,77 +194,17 @@ impl Partition {
         Partition { assignment, k: k.max(1) }
     }
 
-    /// Puts every node in part 0.
-    pub fn single(node_count: usize) -> Self {
-        Partition { assignment: vec![0; node_count], k: 1 }
-    }
-
-    /// Number of parts.
-    pub fn num_parts(&self) -> usize {
-        self.k
-    }
-
     /// The part of a global node id.
     pub fn part_of(&self, node_id: usize) -> usize {
         self.assignment[node_id]
-    }
-
-    /// The per-node assignment vector.
-    pub fn assignment(&self) -> &[usize] {
-        &self.assignment
-    }
-
-    /// Sizes of each part.
-    pub fn part_sizes(&self) -> Vec<usize> {
-        let mut sizes = vec![0usize; self.k];
-        for &p in &self.assignment {
-            sizes[p] += 1;
-        }
-        sizes
-    }
-
-    /// The largest part size.
-    pub fn max_part_size(&self) -> usize {
-        self.part_sizes().into_iter().max().unwrap_or(0)
-    }
-
-    /// Splits the partition into per-part left/right tuple index lists for a
-    /// given graph. Empty parts are omitted.
-    pub fn parts(&self, graph: &MappingGraph) -> Vec<Component> {
-        let mut parts: Vec<Component> = vec![Component::default(); self.k];
-        for id in 0..graph.node_count() {
-            let p = self.assignment[id];
-            match graph.node_of(id) {
-                Node::Left(i) => parts[p].left.push(i),
-                Node::Right(j) => parts[p].right.push(j),
-            }
-        }
-        for (e, edge) in graph.edges().iter().enumerate() {
-            let pl = self.assignment[graph.left_id(edge.left)];
-            let pr = self.assignment[graph.right_id(edge.right)];
-            if pl == pr {
-                parts[pl].edges.push(e);
-            }
-        }
-        parts.retain(|p| p.size() > 0);
-        parts
-    }
-
-    /// The set of distinct non-empty parts.
-    pub fn used_parts(&self) -> BTreeSet<usize> {
-        self.assignment.iter().copied().collect()
     }
 
     /// Splits the partition into per-part lists of **connected components**
     /// (with respect to the part's own intra-part edges; isolated nodes
     /// become singleton components). Empty parts are omitted.
     ///
-    /// A batch-packed part typically holds several independent components —
-    /// packing merges small components to hit the target part count — and
-    /// the MILP objective decomposes over them, so Stage 2 schedules
-    /// *components*, not parts, on its worker pool. The partitioner already
-    /// knows the component structure; exposing it here saves the solver a
-    /// per-part union-find pass.
+    /// The MILP objective decomposes over connected components, so a
+    /// disconnected part is solved as several sub-problems.
     ///
     /// Deterministic: parts in part-index order, components within a part
     /// ordered by their smallest global node id, nodes and edges in global
@@ -307,29 +246,6 @@ impl Partition {
         }
         parts.retain(|p| !p.is_empty());
         parts
-    }
-
-    /// Dirty-part tracking for incremental re-partitioning: given per-node
-    /// dirty flags (global node ids, `true` for nodes whose tuple was
-    /// inserted, updated, or sits adjacent to a deletion), returns one flag
-    /// per **non-empty** part — aligned with the part order of
-    /// [`parts`](Partition::parts) / [`component_parts`](Partition::component_parts)
-    /// — saying whether the part contains any dirty node. Clean parts are
-    /// the ones whose cached sub-problem solutions an incremental
-    /// re-explanation can expect to reuse verbatim (the solution cache
-    /// itself re-verifies via content hashing, so this flag is a tracking /
-    /// diagnostic signal, not a correctness gate). Nodes beyond
-    /// `dirty_nodes.len()` count as clean.
-    pub fn dirty_parts(&self, dirty_nodes: &[bool]) -> Vec<bool> {
-        let mut dirty = vec![false; self.k];
-        let mut occupied = vec![false; self.k];
-        for (node, &p) in self.assignment.iter().enumerate() {
-            occupied[p] = true;
-            if dirty_nodes.get(node).copied().unwrap_or(false) {
-                dirty[p] = true;
-            }
-        }
-        dirty.into_iter().zip(occupied).filter_map(|(d, occ)| occ.then_some(d)).collect()
     }
 }
 
@@ -407,23 +323,22 @@ mod tests {
         let p = Partition::new(assignment, 2);
         // Cut edges: (0,1,0.3) only.
         assert!((g.edge_cut(&p) - 0.3).abs() < 1e-12);
-        assert_eq!(p.num_parts(), 2);
-        assert_eq!(p.part_sizes(), vec![2, 5]);
-        assert_eq!(p.max_part_size(), 5);
-        let parts = p.parts(&g);
+        // Part 0 is one component; part 1 splits into {L1, R1}, {L2, R2}, {R3}.
+        let parts = p.component_parts(&g);
         assert_eq!(parts.len(), 2);
-        assert_eq!(parts[0].left, vec![0]);
-        assert_eq!(parts[0].right, vec![0]);
-        assert_eq!(parts[0].edges.len(), 1);
-        assert_eq!(p.used_parts().len(), 2);
+        assert_eq!(parts[0].len(), 1);
+        assert_eq!(parts[0][0].left, vec![0]);
+        assert_eq!(parts[0][0].right, vec![0]);
+        assert_eq!(parts[0][0].edges, vec![0]);
+        let sizes: Vec<usize> = parts[1].iter().map(Component::size).collect();
+        assert_eq!(sizes, vec![2, 2, 1]);
     }
 
     #[test]
     fn single_partition_has_zero_cut() {
         let g = sample();
-        let p = Partition::single(g.node_count());
+        let p = Partition::new(vec![0; g.node_count()], 1);
         assert_eq!(g.edge_cut(&p), 0.0);
-        assert_eq!(p.num_parts(), 1);
-        assert_eq!(p.parts(&g).len(), 1);
+        assert_eq!(p.component_parts(&g).len(), 1);
     }
 }

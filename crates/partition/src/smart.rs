@@ -1,18 +1,20 @@
-//! Smart partitioning (Algorithm 3): pre-partition, partition the coarse
-//! graph with batch packing, then project the assignment back onto the
-//! original tuples.
+//! Smart partitioning (Algorithm 3).
 //!
-//! The partitioner packs connected components into
-//! `k = ⌈(|T1| + |T2|) / batch⌉` parts (merging small components with
-//! first-fit-decreasing bin packing, splitting oversized ones along
-//! low-weight edges); [`smart_partition_packed`] additionally reports how
-//! the packing went — the target part count, how many components had to be
-//! split, and which parts exceed the batch bound because a single
-//! high-probability cluster is larger than the batch itself.
+//! The Stage-2 objective decomposes over the connected components of the
+//! mapping graph, so every component is a sub-problem of its own. Smart
+//! partitioning differs from plain connected components only for a
+//! component larger than the batch: Algorithm 3 splits it — pre-partition
+//! (Algorithm 2), partition the coarse graph with the size-bounded
+//! partitioner ([`partition_weighted`]), project the assignment back — and
+//! every part becomes a sub-problem. High-probability matches are
+//! contracted before partitioning, so they are never cut; a contracted
+//! cluster that is itself larger than the batch gets a part of its own,
+//! flagged [`SmartPart::oversized`]. The partitioner changes only the parts
+//! near a change to the component, so a small delta leaves most parts, and
+//! their cached solutions, as they were.
 
-use crate::dsu::DisjointSet;
 use crate::graph::{Component, MappingGraph, Partition};
-use crate::partitioner::{partition_weighted, PartitionerConfig};
+use crate::partitioner::partition_weighted;
 use crate::prepartition::pre_partition;
 use crate::weights::WeightScheme;
 
@@ -21,27 +23,14 @@ use crate::weights::WeightScheme;
 pub struct SmartPartitionConfig {
     /// Edge re-weighting scheme (`θ_l`, `θ_h`, `R`).
     pub scheme: WeightScheme,
-    /// Target batch size: the number of partitions is
-    /// `k = ⌈(|T1| + |T2|) / batch_size⌉` and `L_max = batch_size`,
-    /// matching the paper's synthetic-data experiments.
+    /// The batch bound `L_max`: the most tuples a part may hold.
     pub batch_size: usize,
-    /// Number of FM refinement passes in the partitioner.
-    pub refinement_passes: usize,
 }
 
 impl SmartPartitionConfig {
     /// Creates a configuration with the paper's default weight scheme.
     pub fn with_batch_size(batch_size: usize) -> Self {
-        SmartPartitionConfig {
-            scheme: WeightScheme::default(),
-            batch_size: batch_size.max(1),
-            refinement_passes: 2,
-        }
-    }
-
-    /// The number of partitions for a graph with `node_count` tuples.
-    pub fn num_partitions(&self, node_count: usize) -> usize {
-        node_count.div_ceil(self.batch_size).max(1)
+        SmartPartitionConfig { scheme: WeightScheme::default(), batch_size: batch_size.max(1) }
     }
 }
 
@@ -51,115 +40,80 @@ impl Default for SmartPartitionConfig {
     }
 }
 
-/// A node partition plus the packing diagnostics of the run that built it.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PackedPartition {
-    /// The node partition.
-    pub partition: Partition,
-    /// The target part count `k = ⌈nodes / batch⌉` of the run.
-    pub target_parts: usize,
-    /// Number of connected components of the (coarse) mapping graph that
-    /// were split across parts because they exceeded the batch bound. Every
-    /// split cuts only re-weighted (low-weight) edges; high-probability
-    /// clusters are contracted before partitioning and never split.
-    pub split_components: usize,
-    /// Parts whose size exceeds the batch bound. This happens only when a
-    /// single contracted high-probability cluster is itself larger than the
-    /// batch — such a cluster must not be cut, so it gets a flagged part of
-    /// its own instead of a silent constraint violation.
-    pub oversized_parts: Vec<usize>,
+/// One part of a smart partition: one Stage-2 sub-problem.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct SmartPart {
+    /// The part's tuples and edges. A part is connected by its own edges.
+    pub tuples: Component,
+    /// True when the part exceeds the batch bound: it holds a single
+    /// high-probability cluster larger than the batch, which must not be
+    /// cut.
+    pub oversized: bool,
 }
 
-impl PackedPartition {
-    /// Packs an `n`-node graph into one unflagged part (small-graph case).
-    fn single(n: usize) -> Self {
-        PackedPartition {
-            partition: Partition::single(n),
-            target_parts: 1,
-            split_components: 0,
-            oversized_parts: vec![],
-        }
-    }
-
-    /// The packed parts, each split into its connected components (see
-    /// [`Partition::component_parts`]). This is the shape the Stage-2
-    /// work-stealing scheduler consumes: a packed part holds several
-    /// independent components by construction, and scheduling them
-    /// individually keeps one huge component from serialising the phase.
-    pub fn component_parts(&self, graph: &MappingGraph) -> Vec<Vec<Component>> {
-        self.partition.component_parts(graph)
-    }
-
-    /// Dirty-part tracking (see [`Partition::dirty_parts`]): flags, per
-    /// non-empty part, whether the part contains any delta-touched node.
-    pub fn dirty_parts(&self, dirty_nodes: &[bool]) -> Vec<bool> {
-        self.partition.dirty_parts(dirty_nodes)
-    }
+/// Runs smart partitioning on the mapping graph. Returns, for each
+/// connected component in [`MappingGraph::connected_components`] order, the
+/// parts it is solved as: the component itself when it fits the batch,
+/// otherwise its Algorithm 3 split. Deterministic.
+pub fn smart_partition(graph: &MappingGraph, config: &SmartPartitionConfig) -> Vec<Vec<SmartPart>> {
+    graph
+        .connected_components()
+        .into_iter()
+        .map(|c| {
+            if c.size() <= config.batch_size {
+                vec![SmartPart { tuples: c, oversized: false }]
+            } else {
+                split_component(graph, &c, config)
+            }
+        })
+        .collect()
 }
 
-/// Runs Algorithm 3 on the mapping graph, returning a node partition.
-///
-/// Equivalent to [`smart_partition_packed`] with the diagnostics dropped.
-pub fn smart_partition(graph: &MappingGraph, config: &SmartPartitionConfig) -> Partition {
-    smart_partition_packed(graph, config).partition
-}
-
-/// Runs Algorithm 3 on the mapping graph, returning the partition together
-/// with its packing diagnostics (target part count, component splits,
-/// oversized parts).
-pub fn smart_partition_packed(
+/// Algorithm 3 on one connected component of `graph`.
+fn split_component(
     graph: &MappingGraph,
+    comp: &Component,
     config: &SmartPartitionConfig,
-) -> PackedPartition {
-    let n = graph.node_count();
-    if n == 0 {
-        return PackedPartition {
-            partition: Partition::new(vec![], 1),
-            target_parts: 1,
-            split_components: 0,
-            oversized_parts: vec![],
-        };
-    }
-    if n <= config.batch_size {
-        return PackedPartition::single(n);
+) -> Vec<SmartPart> {
+    // The component as a graph of its own. Local ids are positions in the
+    // (ascending) `comp.left` / `comp.right`; local edge k is comp.edges[k].
+    let position = |ids: &[usize], id: usize| {
+        ids.binary_search(&id).expect("an edge's endpoints lie in its component")
+    };
+    let mut local = MappingGraph::new(comp.left.len(), comp.right.len());
+    for &e in &comp.edges {
+        let edge = graph.edges()[e];
+        local.add_edge(
+            position(&comp.left, edge.left),
+            position(&comp.right, edge.right),
+            edge.weight,
+        );
     }
 
     // Line 1: pre-partition (Algorithm 2) to obtain the coarse graph.
-    let coarse = pre_partition(graph, &config.scheme);
+    let coarse = pre_partition(&local, &config.scheme);
+    // Line 2: partition the coarse graph within the batch bound.
+    let weighted = partition_weighted(&coarse.node_weights(), &coarse.edges, config.batch_size);
+    // Lines 3-6: project cluster assignments back onto the tuples.
+    let assignment = coarse.cluster_of.iter().map(|&c| weighted.assignment[c]).collect();
+    let split = Partition::new(assignment, weighted.num_parts);
 
-    // Line 2: partition the coarse graph with the packing partitioner.
-    let k = config.num_partitions(n);
-    let mut part_cfg = PartitionerConfig::new(k, config.batch_size);
-    part_cfg.refinement_passes = config.refinement_passes;
-    let weighted = partition_weighted(&coarse.node_weights(), &coarse.edges, &part_cfg);
-
-    // Lines 3-6: project cluster assignments back onto the original tuples.
-    let mut assignment = vec![0usize; n];
-    for (node_id, &cluster) in coarse.cluster_of.iter().enumerate() {
-        assignment[node_id] = weighted.assignment[cluster];
-    }
-
-    // Diagnostics: a coarse component is "split" when its clusters span
-    // more than one part (that happens exactly when the component exceeded
-    // the batch bound and was divided along its low-weight edges).
-    let mut dsu = DisjointSet::new(coarse.len());
-    for &(a, b, _) in &coarse.edges {
-        dsu.union(a, b);
-    }
-    let mut split_components = 0usize;
-    for component in dsu.groups() {
-        let first = weighted.assignment[component[0]];
-        if component.iter().any(|&c| weighted.assignment[c] != first) {
-            split_components += 1;
+    // Gather each part's tuples and internal edges. A part is merged along
+    // edges, so it is one connected piece; part ids are compact, so the
+    // i-th non-empty part is part i.
+    let mut parts = Vec::new();
+    for (part, pieces) in split.component_parts(&local).into_iter().enumerate() {
+        let oversized = weighted.oversized_parts.contains(&part);
+        for piece in pieces {
+            let tuples = Component {
+                left: piece.left.iter().map(|&i| comp.left[i]).collect(),
+                right: piece.right.iter().map(|&j| comp.right[j]).collect(),
+                edges: piece.edges.iter().map(|&e| comp.edges[e]).collect(),
+            };
+            parts.push(SmartPart { tuples, oversized });
         }
     }
-
-    PackedPartition {
-        partition: Partition::new(assignment, weighted.num_parts.max(1)),
-        target_parts: k,
-        split_components,
-        oversized_parts: weighted.oversized_parts,
-    }
+    parts
 }
 
 #[cfg(test)]
@@ -179,12 +133,32 @@ mod tests {
         g
     }
 
+    /// The node partition of a smart partition, one part id per part in
+    /// job order, plus the size of each part.
+    fn node_partition(g: &MappingGraph, parts: &[Vec<SmartPart>]) -> (Partition, Vec<usize>) {
+        let mut assignment = vec![usize::MAX; g.node_count()];
+        let mut sizes = Vec::new();
+        for (p, part) in parts.iter().flatten().enumerate() {
+            for &i in &part.tuples.left {
+                assignment[g.left_id(i)] = p;
+            }
+            for &j in &part.tuples.right {
+                assignment[g.right_id(j)] = p;
+            }
+            sizes.push(part.tuples.size());
+        }
+        assert!(assignment.iter().all(|&p| p != usize::MAX), "a node has no part");
+        (Partition::new(assignment, sizes.len()), sizes)
+    }
+
     #[test]
     fn small_graphs_stay_whole() {
         let g = chained_pairs(5);
         let cfg = SmartPartitionConfig::with_batch_size(100);
-        let p = smart_partition(&g, &cfg);
-        assert_eq!(p.num_parts(), 1);
+        let parts = smart_partition(&g, &cfg);
+        assert_eq!(parts.len(), 1);
+        assert_eq!(parts[0].len(), 1);
+        let (p, _) = node_partition(&g, &parts);
         assert_eq!(g.edge_cut(&p), 0.0);
     }
 
@@ -192,8 +166,8 @@ mod tests {
     fn high_probability_matches_are_never_cut() {
         let g = chained_pairs(50);
         let cfg = SmartPartitionConfig::with_batch_size(10);
-        let p = smart_partition(&g, &cfg);
-        assert!(p.num_parts() > 1);
+        let (p, sizes) = node_partition(&g, &smart_partition(&g, &cfg));
+        assert!(sizes.len() > 1);
         for e in g.edges() {
             if e.weight >= 0.9 {
                 assert_eq!(
@@ -211,74 +185,47 @@ mod tests {
     fn partition_sizes_respect_the_batch_bound() {
         let g = chained_pairs(60);
         let cfg = SmartPartitionConfig::with_batch_size(16);
-        let p = smart_partition(&g, &cfg);
-        assert!(p.max_part_size() <= 16, "max part size {}", p.max_part_size());
-        // Every node is assigned.
-        assert_eq!(p.assignment().len(), g.node_count());
+        // `node_partition` checks that every node is assigned.
+        let (_, sizes) = node_partition(&g, &smart_partition(&g, &cfg));
+        assert!(sizes.iter().all(|&s| s <= 16), "part sizes {sizes:?}");
     }
 
     #[test]
     fn number_of_partitions_tracks_batch_size() {
-        let cfg = SmartPartitionConfig::with_batch_size(1000);
-        assert_eq!(cfg.num_partitions(100), 1);
-        assert_eq!(cfg.num_partitions(1000), 1);
-        assert_eq!(cfg.num_partitions(1001), 2);
-        assert_eq!(cfg.num_partitions(10_000), 10);
-        let small = SmartPartitionConfig::with_batch_size(100);
-        assert_eq!(small.num_partitions(10_000), 100);
+        // One 120-tuple component: a smaller batch yields more parts, and
+        // never fewer than the batch bound forces.
+        let g = chained_pairs(60);
+        let mut previous = 0;
+        for batch in [200usize, 60, 30, 10, 4] {
+            let parts = smart_partition(&g, &SmartPartitionConfig::with_batch_size(batch));
+            let count = parts.iter().map(Vec::len).sum::<usize>();
+            assert!(count >= g.node_count().div_ceil(batch), "batch {batch}: {count} parts");
+            assert!(count >= previous, "batch {batch}: {count} parts after {previous}");
+            previous = count;
+        }
     }
 
     #[test]
     fn cut_prefers_weak_edges() {
         let g = chained_pairs(40);
         let cfg = SmartPartitionConfig::with_batch_size(20);
-        let p = smart_partition(&g, &cfg);
+        let (p, sizes) = node_partition(&g, &smart_partition(&g, &cfg));
         // The cut should consist only of the weak 0.2 chain links, so it is
         // bounded by 0.2 times the number of parts.
         let cut = g.edge_cut(&p);
-        assert!(cut <= 0.2 * p.num_parts() as f64 + 1e-9, "cut {cut}");
+        assert!(cut <= 0.2 * sizes.len() as f64 + 1e-9, "cut {cut}");
     }
 
     #[test]
     fn empty_graph_is_handled() {
         let g = MappingGraph::new(0, 0);
-        let p = smart_partition(&g, &SmartPartitionConfig::default());
-        assert_eq!(p.assignment().len(), 0);
-    }
-
-    /// `pairs` disconnected high-probability couples: the pre-packing
-    /// partitioner emitted one part per couple; packing must hit `k`.
-    fn isolated_pairs(pairs: usize) -> MappingGraph {
-        let mut g = MappingGraph::new(pairs, pairs);
-        for i in 0..pairs {
-            g.add_edge(i, i, 0.95);
-        }
-        g
-    }
-
-    #[test]
-    fn disconnected_components_pack_to_the_target_part_count() {
-        let g = isolated_pairs(120); // 240 nodes in 120 two-node components
-        let cfg = SmartPartitionConfig::with_batch_size(60);
-        let packed = smart_partition_packed(&g, &cfg);
-        assert_eq!(packed.target_parts, 4);
-        assert_eq!(packed.partition.num_parts(), 4, "240 nodes / batch 60 must pack to 4 parts");
-        assert_eq!(packed.split_components, 0);
-        assert!(packed.oversized_parts.is_empty());
-        assert_eq!(packed.partition.max_part_size(), 60);
-        // No couple is separated by packing.
-        for i in 0..120 {
-            assert_eq!(
-                packed.partition.part_of(g.left_id(i)),
-                packed.partition.part_of(g.right_id(i))
-            );
-        }
+        assert!(smart_partition(&g, &SmartPartitionConfig::default()).is_empty());
     }
 
     #[test]
     fn oversized_clusters_are_flagged_not_split() {
         // One chain of 6 high-probability matches contracts into a single
-        // 12-node cluster that cannot fit a batch of 8.
+        // 13-node cluster that cannot fit a batch of 8.
         let mut g = MappingGraph::new(8, 8);
         for i in 0..6 {
             g.add_edge(i, i, 0.95);
@@ -286,46 +233,39 @@ mod tests {
         }
         g.add_edge(7, 7, 0.95); // a separate small couple
         let cfg = SmartPartitionConfig::with_batch_size(8);
-        let packed = smart_partition_packed(&g, &cfg);
-        assert_eq!(packed.oversized_parts.len(), 1, "the 13-node cluster must be flagged");
-        let oversized = packed.oversized_parts[0];
-        // The oversized part contains the whole cluster (never cut) ...
-        for i in 0..7 {
-            assert_eq!(packed.partition.part_of(g.left_id(i)), oversized);
-        }
-        // ... and nothing else.
-        assert_ne!(packed.partition.part_of(g.left_id(7)), oversized);
-        assert_eq!(packed.split_components, 0);
+        let parts = smart_partition(&g, &cfg);
+        let flagged: Vec<&SmartPart> = parts.iter().flatten().filter(|p| p.oversized).collect();
+        assert_eq!(flagged.len(), 1, "the 13-node cluster must be flagged");
+        // The oversized part holds the whole cluster (never cut) ...
+        assert_eq!(flagged[0].tuples.left, (0..7).collect::<Vec<_>>());
+        assert_eq!(flagged[0].tuples.right, (0..6).collect::<Vec<_>>());
+        // ... and nothing else: the couple and the isolated right tuple are
+        // components of their own.
+        assert_eq!(parts.len(), 3);
+        assert!(parts.iter().all(|c| c.len() == 1));
     }
 
     #[test]
     fn oversized_components_split_along_weak_edges_and_are_counted() {
-        // One 60-node component chained by weak links: must split into
-        // parts of at most 16, counted as a single split component.
+        // One 60-node component chained by weak links: it splits into
+        // several parts of at most 16, all sharing the component's slot.
         let g = chained_pairs(30);
         let cfg = SmartPartitionConfig::with_batch_size(16);
-        let packed = smart_partition_packed(&g, &cfg);
-        assert_eq!(packed.split_components, 1);
-        assert!(packed.oversized_parts.is_empty());
-        assert!(packed.partition.max_part_size() <= 16);
-        assert!(
-            packed.partition.num_parts() <= packed.target_parts + packed.split_components,
-            "{} parts for target {} + {} splits",
-            packed.partition.num_parts(),
-            packed.target_parts,
-            packed.split_components
-        );
+        let parts = smart_partition(&g, &cfg);
+        assert_eq!(parts.len(), 1, "one source component");
+        assert!(parts[0].len() >= 4, "{} parts for 60 tuples / batch 16", parts[0].len());
+        assert!(parts[0].iter().all(|p| !p.oversized && p.tuples.size() <= 16));
     }
 
     #[test]
     fn component_parts_refine_parts_exactly() {
+        // Four parts over a 40-couple chain, each of ten separate couples.
         let g = chained_pairs(40);
-        let cfg = SmartPartitionConfig::with_batch_size(20);
-        let packed = smart_partition_packed(&g, &cfg);
-        let parts = packed.partition.parts(&g);
-        let comp_parts = packed.component_parts(&g);
-        assert_eq!(parts.len(), comp_parts.len());
-        for (part, comps) in parts.iter().zip(comp_parts.iter()) {
+        let assignment: Vec<usize> = (0..g.node_count()).map(|id| (id % 40) % 4).collect();
+        let p = Partition::new(assignment, 4);
+        let comp_parts = p.component_parts(&g);
+        assert_eq!(comp_parts.len(), 4);
+        for (part, comps) in comp_parts.iter().enumerate() {
             // The components of a part tile it exactly: same tuples, same
             // intra-part edges, nothing shared.
             let mut left: Vec<usize> = comps.iter().flat_map(|c| c.left.clone()).collect();
@@ -334,17 +274,19 @@ mod tests {
             left.sort_unstable();
             right.sort_unstable();
             edges.sort_unstable();
-            let mut pl = part.left.clone();
-            let mut pr = part.right.clone();
-            let mut pe = part.edges.clone();
-            pl.sort_unstable();
-            pr.sort_unstable();
-            pe.sort_unstable();
+            let pl: Vec<usize> = (0..40).filter(|&i| p.part_of(g.left_id(i)) == part).collect();
+            let pr: Vec<usize> = (0..40).filter(|&j| p.part_of(g.right_id(j)) == part).collect();
+            let pe: Vec<usize> = (0..g.edge_count())
+                .filter(|&e| {
+                    let edge = g.edges()[e];
+                    p.part_of(g.left_id(edge.left)) == part
+                        && p.part_of(g.right_id(edge.right)) == part
+                })
+                .collect();
             assert_eq!(left, pl);
             assert_eq!(right, pr);
             assert_eq!(edges, pe);
-            // Every component is internally connected to itself only:
-            // its edges reference its own tuples.
+            // Every component's edges reference its own tuples only.
             for c in comps {
                 for &e in &c.edges {
                     let edge = &g.edges()[e];
@@ -353,59 +295,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn dirty_parts_flag_exactly_the_touched_parts() {
-        let g = isolated_pairs(120); // 240 nodes packed into 4 parts of 60
-        let cfg = SmartPartitionConfig::with_batch_size(60);
-        let packed = smart_partition_packed(&g, &cfg);
-        assert_eq!(packed.partition.num_parts(), 4);
-
-        // No dirty nodes → every part is clean.
-        let clean = packed.dirty_parts(&vec![false; g.node_count()]);
-        assert_eq!(clean.len(), 4);
-        assert!(clean.iter().all(|&d| !d));
-
-        // Touch one couple: exactly its part goes dirty.
-        let mut dirty_nodes = vec![false; g.node_count()];
-        dirty_nodes[g.left_id(17)] = true;
-        let dirty = packed.dirty_parts(&dirty_nodes);
-        let expected = packed.partition.part_of(g.left_id(17));
-        for (p, &d) in dirty.iter().enumerate() {
-            assert_eq!(d, p == expected, "part {p}");
-        }
-
-        // A short flag vector treats the untracked tail as clean.
-        let short = packed.dirty_parts(&[true]);
-        assert_eq!(short.iter().filter(|&&d| d).count(), 1);
-
-        // Every part dirty when every node is.
-        let all = packed.dirty_parts(&vec![true; g.node_count()]);
-        assert!(all.iter().all(|&d| d));
-    }
-
-    #[test]
-    fn dirty_parts_align_with_nonempty_part_order() {
-        // Build a partition with an empty middle part: flags must align
-        // with the compacted order `parts()`/`component_parts()` emit.
-        let mut g = MappingGraph::new(2, 2);
-        g.add_edge(0, 0, 0.9);
-        g.add_edge(1, 1, 0.9);
-        let assignment = vec![0, 2, 0, 2]; // part 1 is empty
-        let p = Partition::new(assignment, 3);
-        let mut dirty_nodes = vec![false; 4];
-        dirty_nodes[1] = true; // left tuple 1 → part 2
-        let flags = p.dirty_parts(&dirty_nodes);
-        assert_eq!(flags.len(), p.parts(&g).len());
-        assert_eq!(flags, vec![false, true]);
-    }
-
-    #[test]
-    fn packed_and_plain_smart_partition_agree() {
-        let g = chained_pairs(40);
-        let cfg = SmartPartitionConfig::with_batch_size(20);
-        assert_eq!(smart_partition(&g, &cfg), smart_partition_packed(&g, &cfg).partition);
     }
 
     #[test]

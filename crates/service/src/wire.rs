@@ -412,7 +412,6 @@ fn emit_stats(stats: &PipelineStats) -> Json {
         .set("partition_secs", stats.partition_time.as_secs_f64())
         .set("solve_secs", stats.solve_time.as_secs_f64())
         .set("total_secs", stats.total_time.as_secs_f64())
-        .set("num_subproblems", stats.num_subproblems)
         .set("milp_count", stats.milp_count)
         .set("milp_nodes", stats.milp_nodes)
         .set("suboptimal_subproblems", stats.suboptimal_subproblems)
@@ -425,9 +424,7 @@ fn emit_stats(stats: &PipelineStats) -> Json {
                 .set("pair_cache_misses", stats.delta.pair_cache_misses)
                 .set("candidates_reused", stats.delta.candidates_reused)
                 .set("component_cache_hits", stats.delta.component_cache_hits)
-                .set("component_cache_misses", stats.delta.component_cache_misses)
-                .set("parts_reused", stats.delta.parts_reused)
-                .set("parts_dirty", stats.delta.parts_dirty),
+                .set("component_cache_misses", stats.delta.component_cache_misses),
         )
 }
 

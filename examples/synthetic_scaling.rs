@@ -37,7 +37,7 @@ fn main() {
             table.add_row(vec![
                 n.to_string(),
                 label.to_string(),
-                report.stats.num_subproblems.to_string(),
+                report.stats.milp_count.to_string(),
                 format!("{:.3}", elapsed.as_secs_f64()),
                 format!("{:.3}", expl.f_measure),
                 format!("{:.3}", evid.f_measure),

@@ -145,7 +145,7 @@ fn smart_partitioning_bounds_subproblem_sizes_without_losing_accuracy() {
     );
 
     assert!(batched.stats.max_subproblem_size <= 60);
-    assert!(batched.stats.num_subproblems >= unpartitioned.stats.num_subproblems.min(2));
+    assert!(batched.stats.milp_count >= unpartitioned.stats.milp_count.min(2));
 
     let f_unpart = explanation_accuracy(&unpartitioned.explanations, &gold).f_measure;
     let f_batch = explanation_accuracy(&batched.explanations, &gold).f_measure;

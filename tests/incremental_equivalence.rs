@@ -101,15 +101,13 @@ fn cold_fingerprint(
 }
 
 /// All monotone counters of a `DeltaStats`, in a fixed order.
-fn counters(s: &explain3d::core::pipeline::DeltaStats) -> [usize; 8] {
+fn counters(s: &explain3d::core::pipeline::DeltaStats) -> [usize; 6] {
     [
         s.pair_cache_misses,
         s.pair_cache_hits,
         s.candidates_reused,
         s.component_cache_hits,
         s.component_cache_misses,
-        s.parts_reused,
-        s.parts_dirty,
         s.warm_basis_imports,
     ]
 }

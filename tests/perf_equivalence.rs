@@ -14,10 +14,11 @@
 //!    to the parallel scorer, never materialising the full pair list)
 //!    retains byte-identical candidates to `candidate_pairs_naive` across
 //!    seeded random datasets and chunk sizes;
-//! 5. the batch-packed Stage-2 partition produces the same explanations as
-//!    the unpacked strategies, and parallel runs stay byte-identical to
-//!    sequential ones under a *node-limited* (deterministic-deadline)
-//!    search even when the limit is hit.
+//! 5. the smart Stage-2 partition produces the same explanations as
+//!    connected components, the merged report does not depend on the order
+//!    sub-problem outcomes are merged in, and parallel runs stay
+//!    byte-identical to sequential ones under a *node-limited*
+//!    (deterministic-deadline) search even when the limit is hit.
 
 use explain3d::datagen::rng::{Rng, SeedableRng, StdRng};
 use explain3d::datagen::{generate_synthetic, vocab, SyntheticConfig};
@@ -197,10 +198,10 @@ fn parallel_and_sequential_pipelines_are_byte_identical() {
         assert_eq!(par.explanations, seq.explanations, "strategy {:?}", config.strategy);
         assert_eq!(par.log_probability.to_bits(), seq.log_probability.to_bits());
         assert_eq!(par.complete, seq.complete);
-        assert_eq!(par.stats.num_subproblems, seq.stats.num_subproblems);
+        assert_eq!(par.stats.milp_count, seq.stats.milp_count);
         assert_eq!(par.stats.milp_nodes, seq.stats.milp_nodes);
         assert_eq!(par.stats.suboptimal_subproblems, seq.stats.suboptimal_subproblems);
-        assert!(par.stats.num_subproblems >= 2, "workload should actually partition");
+        assert!(par.stats.milp_count >= 2, "workload should actually partition");
     }
 }
 
@@ -244,9 +245,9 @@ fn node_limited_deadline_is_deterministic_even_when_hit() {
     assert_eq!(par.log_probability.to_bits(), again.log_probability.to_bits());
 }
 
-/// The packed smart partition must not change *what* is explained: its
-/// merged explanations agree with the connected-components strategy (which
-/// is exact) on seeded synthetic workloads.
+/// The smart partition must not change *what* is explained: its merged
+/// explanations agree with the connected-components strategy (which is
+/// exact) on seeded synthetic workloads.
 #[test]
 fn packed_partition_explanations_agree_with_connected_components() {
     for (tuples, noise, vocab_size) in [(60usize, 0.3f64, 200usize), (100, 0.4, 350)] {
@@ -275,12 +276,39 @@ fn packed_partition_explanations_agree_with_connected_components() {
         cc_ev.sort_unstable();
         assert_eq!(packed_ev, cc_ev, "evidence sets diverged");
         assert_eq!(packed.complete, cc.complete);
-        // Packing reduces the part count to the target window while the
-        // per-MILP work stays at component scale.
-        assert!(packed.stats.num_subproblems <= cc.stats.num_subproblems);
-        assert!(packed.stats.milp_count >= packed.stats.num_subproblems);
         assert_eq!(packed.stats.oversized_parts, 0);
     }
+}
+
+/// A merged report depends only on its content: assembling the same
+/// sub-problem outcomes in two different orders gives byte-identical
+/// reports, because `normalise` sorts explanations and evidence.
+#[test]
+fn outcome_merge_order_does_not_change_the_report() {
+    use explain3d::core::pipeline::{assemble_report, component_jobs, solve_component};
+    let case = generate_synthetic(&SyntheticConfig::new(100, 0.3, 350));
+    let (left, right) = (&case.prepared.left_canonical, &case.prepared.right_canonical);
+    let (matches, mapping) = (&case.attribute_matches, &case.initial_mapping);
+    let milp = MilpConfig { time_limit: None, max_nodes: 2_000, ..Default::default() };
+    let config = Explain3DConfig::connected_components().with_milp(milp);
+    let (jobs, meta) = component_jobs(config.strategy, left, right, mapping);
+    let outcomes: Vec<_> = jobs
+        .iter()
+        .map(|(source, sub)| {
+            (*source, solve_component(left, right, matches.mapping_relation(), &config, sub, None))
+        })
+        .collect();
+    let with_evidence = outcomes.iter().filter(|(_, o)| !o.explanations.evidence.is_empty());
+    assert!(with_evidence.count() >= 2, "the order test needs evidence from several components");
+    let assemble = |outcomes| {
+        report_fingerprint(&assemble_report(
+            left, right, matches, mapping, &config, &meta, outcomes,
+        ))
+    };
+    let forward = assemble(outcomes.clone());
+    let mut reversed = outcomes;
+    reversed.reverse();
+    assert_eq!(forward, assemble(reversed));
 }
 
 /// Linear-scan reference semantics for `TupleMapping` lookups, as
@@ -408,7 +436,7 @@ mod huge_component {
 
 /// The work-stealing Stage-2 scheduler must return byte-identical reports
 /// for every thread count — including the layout where one part holds a
-/// single huge component (flagged oversized) that previously serialised the
+/// single huge component (flagged oversized) that would serialise the
 /// phase under one-thread-per-part scheduling.
 #[test]
 fn work_stealing_is_byte_identical_across_thread_counts() {
@@ -416,17 +444,13 @@ fn work_stealing_is_byte_identical_across_thread_counts() {
     let attr = explain3d::core::prelude::AttributeMatches::single_equivalent("k", "k");
     let milp = MilpConfig { time_limit: None, max_nodes: 300, ..Default::default() };
     // Batch 16 < the 44-tuple welded cluster: the cluster becomes a flagged
-    // oversized part of its own; the couples pack into the other parts.
+    // oversized part of its own; the couples are components of their own.
     let config = Explain3DConfig::batched(16).with_milp(milp);
     let run = |threads: usize| {
         Explain3D::new(config.clone().with_threads(threads)).explain(&left, &right, &attr, &mapping)
     };
     let base = run(1);
     assert!(base.stats.oversized_parts >= 1, "the huge cluster must be flagged oversized");
-    assert!(
-        base.stats.milp_count > base.stats.num_subproblems,
-        "parts must decompose into more components than parts"
-    );
     for threads in [2, 4, 8] {
         let par = run(threads);
         assert_eq!(base.explanations, par.explanations, "threads={threads}");
@@ -436,7 +460,6 @@ fn work_stealing_is_byte_identical_across_thread_counts() {
             "threads={threads}"
         );
         assert_eq!(base.complete, par.complete);
-        assert_eq!(base.stats.num_subproblems, par.stats.num_subproblems);
         assert_eq!(base.stats.milp_count, par.stats.milp_count);
         assert_eq!(base.stats.milp_nodes, par.stats.milp_nodes);
         assert_eq!(base.stats.suboptimal_subproblems, par.stats.suboptimal_subproblems);

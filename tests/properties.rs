@@ -226,10 +226,17 @@ fn partitioning_is_a_proper_cover() {
                 g.add_edge(i, i + 1, 0.3);
             }
         }
-        let p = smart_partition(&g, &SmartPartitionConfig::with_batch_size(batch));
-        assert_eq!(p.assignment().len(), g.node_count());
-        assert!(p.max_part_size() <= batch.max(2));
-        let covered: usize = p.part_sizes().iter().sum();
-        assert_eq!(covered, g.node_count());
+        let parts = smart_partition(&g, &SmartPartitionConfig::with_batch_size(batch));
+        let mut covered = vec![0usize; g.node_count()];
+        for part in parts.iter().flatten() {
+            assert!(part.tuples.size() <= batch.max(2));
+            for &i in &part.tuples.left {
+                covered[g.left_id(i)] += 1;
+            }
+            for &j in &part.tuples.right {
+                covered[g.right_id(j)] += 1;
+            }
+        }
+        assert!(covered.iter().all(|&c| c == 1), "every node lies in exactly one part");
     }
 }
