@@ -134,12 +134,14 @@ impl Explain3DConfig {
     }
 }
 
-/// Cache and delta statistics of an *incremental* re-explanation
+/// Cache and delta statistics of an explain session
 /// ([`crate::pipeline::PipelineStats::delta`]). All counters are
 /// **cumulative over the owning session's lifetime**, so across successive
 /// `re_explain` calls every field is monotone non-decreasing — the
-/// invariant `tests/incremental_equivalence.rs` pins. A cold (from-scratch)
-/// pipeline run reports all-zero `DeltaStats`.
+/// invariant `tests/incremental_equivalence.rs` pins. A session's cold
+/// `explain` already counts: it scores pairs through the cache, and its
+/// jobs of equal content share one solve. Only the stateless
+/// [`Explain3D::explain`] reports all-zero `DeltaStats`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DeltaStats {
     /// Tuple pairs whose similarity was actually recomputed (score-cache
@@ -150,9 +152,12 @@ pub struct DeltaStats {
     /// Candidates carried over from the previous run without touching the
     /// scorer at all (both endpoints untouched by any delta).
     pub candidates_reused: usize,
-    /// Sub-problem components answered verbatim from the solution cache.
+    /// Sub-problem components answered from the solution cache: from an
+    /// earlier run, or from an earlier job of equal content in the same
+    /// run.
     pub component_cache_hits: usize,
-    /// Sub-problem components that had to be (re-)solved.
+    /// Sub-problem components that had to be (re-)solved — the number of
+    /// MILPs the session actually solved.
     pub component_cache_misses: usize,
     /// Dirty-component solves that successfully imported a persisted basis
     /// ([`explain3d_milp::prelude::SolveStats::final_basis`]).
@@ -198,7 +203,10 @@ pub struct PipelineStats {
     pub max_subproblem_size: usize,
     /// Total branch-and-bound nodes across all MILPs.
     pub milp_nodes: usize,
-    /// Number of sub-problems, i.e. MILPs, solved.
+    /// Number of sub-problem jobs, each one MILP. A session counts the
+    /// jobs it answered from its solution cache too, so this equals the
+    /// stateless pipeline's count; the MILPs a session actually solved are
+    /// [`DeltaStats::component_cache_misses`].
     pub milp_count: usize,
     /// Number of MILPs that hit a limit before proving optimality (their
     /// solutions are feasible but possibly sub-optimal).
@@ -208,8 +216,8 @@ pub struct PipelineStats {
     pub steals: usize,
     /// LP relaxations re-solved warm from a parent basis across all MILPs.
     pub warm_lp_solves: usize,
-    /// Incremental-re-explanation cache statistics (all zero for a cold,
-    /// from-scratch run).
+    /// Session cache statistics (all zero for the stateless
+    /// [`Explain3D::explain`]).
     pub delta: DeltaStats,
 }
 

@@ -34,7 +34,10 @@
 //!    component order (tuple identities only name variables; the paper's
 //!    Eq. 7–13 encoding never reads them). Cached outcomes are stored in
 //!    local coordinates and re-bound to the new tuple indices on reuse, so
-//!    a hit reproduces exactly what re-solving would produce. Misses are
+//!    a hit reproduces exactly what re-solving would produce. That holds
+//!    within one run too: of several jobs with equal content, only the
+//!    first is solved and the rest are re-bound from its entry, so a cold
+//!    `explain` solves each distinct component once. Misses are
 //!    solved through the same [`explain3d_core::pipeline::solve_component`]
 //!    entry point as the cold pipeline — by default **without** importing a
 //!    persisted basis, because a warm-started search may legitimately pick
@@ -62,7 +65,7 @@ use explain3d_linkage::generator::{Candidate, MappingConfig};
 use explain3d_linkage::{BucketCalibrator, TupleMapping, TupleMatch};
 use explain3d_milp::prelude::SparseBasis;
 use explain3d_relation::prelude::Row;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::time::{Duration, Instant};
 
 /// Cached solution entries older than this many session runs are evicted
@@ -111,16 +114,15 @@ struct CachedComponent {
 impl CachedComponent {
     /// Captures an outcome in local coordinates.
     fn capture(sub: &SubProblem, outcome: &ComponentOutcome, generation: u64) -> Self {
-        let left_pos: HashMap<usize, u32> =
-            sub.left_tuples.iter().enumerate().map(|(p, &t)| (t, p as u32)).collect();
-        let right_pos: HashMap<usize, u32> =
-            sub.right_tuples.iter().enumerate().map(|(p, &t)| (t, p as u32)).collect();
+        let left_pos = LocalIndex::new(&sub.left_tuples);
+        let right_pos = LocalIndex::new(&sub.right_tuples);
         let e = &outcome.explanations;
         let local = |side: Side, tuple: usize| -> u32 {
-            match side {
-                Side::Left => left_pos[&tuple],
-                Side::Right => right_pos[&tuple],
-            }
+            let pos = match side {
+                Side::Left => left_pos.get(tuple),
+                Side::Right => right_pos.get(tuple),
+            };
+            pos.expect("explained tuple belongs to its component")
         };
         CachedComponent {
             provenance: e.provenance.iter().map(|p| (p.side, local(p.side, p.tuple))).collect(),
@@ -133,7 +135,7 @@ impl CachedComponent {
                 .evidence
                 .matches()
                 .iter()
-                .map(|m| (left_pos[&m.left], right_pos[&m.right], m.prob))
+                .map(|m| (local(Side::Left, m.left), local(Side::Right, m.right), m.prob))
                 .collect(),
             nodes: outcome.nodes,
             suboptimal: outcome.suboptimal,
@@ -477,9 +479,10 @@ impl ExplainSession {
 
     /// The shared solve-and-assemble tail of `explain` / `re_explain`:
     /// derives the job list with the cold pipeline's own `component_jobs`,
-    /// answers content-hash hits from the solution cache, solves the misses
-    /// on the work-stealing pool, and assembles the report with the shared
-    /// `assemble_report`.
+    /// answers content-hash hits from the solution cache, solves the first
+    /// miss of each content hash on the work-stealing pool, answers later
+    /// jobs of the same content from the entry that solve captured, and
+    /// assembles the report with the shared `assemble_report`.
     fn run(
         &mut self,
         mapping: &TupleMapping,
@@ -496,14 +499,22 @@ impl ExplainSession {
         self.generation += 1;
         let generation = self.generation;
 
-        // Resolve cache hits; collect misses with their job slots.
+        // Resolve cache hits; collect the first miss of each content hash
+        // with its job slot, and hold back later misses of the same hash:
+        // they are answered from the entry the first one's solve captures.
         let mut slots: Vec<Option<(usize, ComponentOutcome)>> = Vec::with_capacity(jobs.len());
         let mut missed: Vec<(usize, usize, SubProblem, Option<SparseBasis>)> = Vec::new();
+        let mut held: Vec<(usize, usize, SubProblem)> = Vec::new();
+        let mut solving: HashSet<u64> = HashSet::new();
         for (slot, ((source, sub), hash)) in jobs.into_iter().zip(&hashes).enumerate() {
             if let Some(entry) = self.solutions.get_mut(hash) {
                 entry.last_used = generation;
                 self.stats.component_cache_hits += 1;
                 slots.push(Some((source, entry.to_outcome(&sub))));
+            } else if !solving.insert(*hash) {
+                self.stats.component_cache_hits += 1;
+                held.push((slot, source, sub));
+                slots.push(None);
             } else {
                 self.stats.component_cache_misses += 1;
                 let warm = if self.config.warm_start_dirty {
@@ -546,6 +557,9 @@ impl ExplainSession {
             self.solutions
                 .insert(hashes[slot], CachedComponent::capture(&sub, &outcome, generation));
             slots[slot] = Some((source, outcome));
+        }
+        for (slot, source, sub) in held {
+            slots[slot] = Some((source, self.solutions[&hashes[slot]].to_outcome(&sub)));
         }
         let outcomes: Vec<(usize, ComponentOutcome)> =
             slots.into_iter().map(|s| s.expect("every job slot resolved")).collect();
@@ -602,22 +616,48 @@ impl ExplainSession {
         for &j in &sub.right_tuples {
             h.write_u64(self.right.tuples[j].impact.to_bits());
         }
-        let left_pos: HashMap<usize, u64> =
-            sub.left_tuples.iter().enumerate().map(|(p, &t)| (t, p as u64)).collect();
-        let right_pos: HashMap<usize, u64> =
-            sub.right_tuples.iter().enumerate().map(|(p, &t)| (t, p as u64)).collect();
-        for m in &sub.matches {
-            // Matches referencing tuples outside the component are ignored
-            // by the encoder and the heuristic alike, so they must not
-            // perturb the hash either.
-            let (Some(&lp), Some(&rp)) = (left_pos.get(&m.left), right_pos.get(&m.right)) else {
-                continue;
-            };
-            h.write_u64(lp);
-            h.write_u64(rp);
-            h.write_u64(m.prob.to_bits());
+        if !sub.matches.is_empty() {
+            let left_pos = LocalIndex::new(&sub.left_tuples);
+            let right_pos = LocalIndex::new(&sub.right_tuples);
+            for m in &sub.matches {
+                // Matches referencing tuples outside the component are
+                // ignored by the encoder and the heuristic alike, so they
+                // must not perturb the hash either.
+                let (Some(lp), Some(rp)) = (left_pos.get(m.left), right_pos.get(m.right)) else {
+                    continue;
+                };
+                h.write_u64(u64::from(lp));
+                h.write_u64(u64::from(rp));
+                h.write_u64(m.prob.to_bits());
+            }
         }
         h.finish()
+    }
+}
+
+/// Tuple id → position in one side of a component. Components with at
+/// most [`LocalIndex::SCAN_MAX`] tuples on a side — the singletons and
+/// small clusters that make up almost every job — are scanned directly;
+/// only larger ones pay for a hash map.
+struct LocalIndex<'a> {
+    tuples: &'a [usize],
+    map: Option<HashMap<usize, u32>>,
+}
+
+impl<'a> LocalIndex<'a> {
+    const SCAN_MAX: usize = 8;
+
+    fn new(tuples: &'a [usize]) -> Self {
+        let map = (tuples.len() > Self::SCAN_MAX)
+            .then(|| tuples.iter().enumerate().map(|(p, &t)| (t, p as u32)).collect());
+        LocalIndex { tuples, map }
+    }
+
+    fn get(&self, tuple: usize) -> Option<u32> {
+        match &self.map {
+            Some(map) => map.get(&tuple).copied(),
+            None => self.tuples.iter().position(|&t| t == tuple).map(|p| p as u32),
+        }
     }
 }
 
@@ -713,6 +753,11 @@ mod tests {
         }
     }
 
+    fn canon_owned(name: &str, entries: &[(String, f64)]) -> CanonicalRelation {
+        let entries: Vec<(&str, f64)> = entries.iter().map(|(k, imp)| (k.as_str(), *imp)).collect();
+        canon(name, &entries)
+    }
+
     fn tuple(key: &str, impact: f64) -> CanonicalTuple {
         CanonicalTuple {
             id: 0,
@@ -758,6 +803,98 @@ mod tests {
         assert_eq!(report.log_probability.to_bits(), stateless.log_probability.to_bits());
         assert_eq!(report.complete, stateless.complete);
         assert_eq!(report.stats.milp_nodes, stateless.stats.milp_nodes);
+    }
+
+    /// The stateless pipeline's report on the session's relations.
+    fn stateless(s: &ExplainSession) -> ExplanationReport {
+        let mapping = explain3d_core::prelude::build_initial_mapping(
+            s.left(),
+            s.right(),
+            s.matches(),
+            &s.config().mapping,
+            None,
+        );
+        explain3d_core::prelude::Explain3D::new(s.config().explain.clone()).explain(
+            s.left(),
+            s.right(),
+            s.matches(),
+            &mapping,
+        )
+    }
+
+    /// Dozens of unmatched tuples over a few impact values on each side
+    /// (keys share no token across sides, so nothing links them) plus a
+    /// few pairs with equal keys, hence equal match probability: many
+    /// jobs, few distinct contents.
+    fn repetitive_relations() -> (CanonicalRelation, CanonicalRelation) {
+        let left: Vec<(String, f64)> = (0..36)
+            .map(|i| (format!("left{i}"), [1.0, 2.0, 3.0][i % 3]))
+            .chain((0..6).map(|i| (format!("pair{i}"), [2.0, 1.0][i % 2])))
+            .collect();
+        let right: Vec<(String, f64)> = (0..30)
+            .map(|i| (format!("right{i}"), [1.0, 2.0][i % 2]))
+            .chain((0..6).map(|i| (format!("pair{i}"), 1.0)))
+            .collect();
+        (canon_owned("Q1", &left), canon_owned("Q2", &right))
+    }
+
+    #[test]
+    fn cold_explain_solves_each_distinct_component_once() {
+        let (t1, t2) = repetitive_relations();
+        let mut s = session(t1, t2);
+        let report = s.explain();
+        let expected = stateless(&s);
+        // 72 jobs (36 + 30 singletons, 6 pairs) over 7 contents: 3 left
+        // singleton impacts, 2 right singleton impacts, and 2 pair contents
+        // (left impact 2 or 1 against right impact 1).
+        assert_eq!(expected.stats.milp_count, 72);
+        let stats = s.delta_stats();
+        assert_eq!(stats.component_cache_misses, 7, "{stats:?}");
+        assert_eq!(stats.component_cache_hits + stats.component_cache_misses, 72);
+        assert_eq!(report.stats.milp_count, expected.stats.milp_count);
+        assert_eq!(report.explanations, expected.explanations);
+        assert_eq!(report.log_probability.to_bits(), expected.log_probability.to_bits());
+        assert_eq!(report.complete, expected.complete);
+        assert_eq!(report.stats.milp_nodes, expected.stats.milp_nodes);
+        assert_eq!(report.stats.suboptimal_subproblems, expected.stats.suboptimal_subproblems);
+    }
+
+    #[test]
+    fn budget_limited_and_parallel_duplicates_match_the_stateless_pipeline() {
+        // Copies of one five-tuple cluster whose MILP needs branching; a
+        // one-node budget stops every copy short of a proof.
+        let mut left = Vec::new();
+        let mut right = Vec::new();
+        for p in ["a", "b", "c", "d", "e", "f"] {
+            left.push((format!("{p}x {p}y"), 3.0));
+            left.push((format!("{p}x"), 1.0));
+            right.push((format!("{p}x"), 2.0));
+            right.push((format!("{p}y"), 2.0));
+            right.push((format!("{p}x {p}y"), 1.0));
+        }
+        let (t1, t2) = (canon_owned("Q1", &left), canon_owned("Q2", &right));
+        let fingerprint = |threads: usize| {
+            let milp = explain3d_milp::prelude::MilpConfig::default().with_max_nodes(1);
+            let config = SessionConfig {
+                explain: Explain3DConfig::default().with_milp(milp).with_threads(threads),
+                ..Default::default()
+            };
+            let mut s = ExplainSession::new(
+                t1.clone(),
+                t2.clone(),
+                AttributeMatches::single_equivalent("k", "k"),
+                config,
+            );
+            let report = s.explain();
+            let expected = stateless(&s);
+            assert!(expected.stats.suboptimal_subproblems > 0, "{:?}", expected.stats);
+            assert_eq!(report.stats.suboptimal_subproblems, expected.stats.suboptimal_subproblems);
+            assert_eq!(report.stats.milp_nodes, expected.stats.milp_nodes);
+            assert_eq!(s.delta_stats().component_cache_misses, 1, "{:?}", s.delta_stats());
+            assert_eq!(report_fingerprint(&report), report_fingerprint(&expected));
+            report_fingerprint(&report)
+        };
+        assert_eq!(fingerprint(1), fingerprint(2));
     }
 
     #[test]
