@@ -114,15 +114,16 @@ struct CachedComponent {
 impl CachedComponent {
     /// Captures an outcome in local coordinates.
     fn capture(sub: &SubProblem, outcome: &ComponentOutcome, generation: u64) -> Self {
-        let left_pos = LocalIndex::new(&sub.left_tuples);
-        let right_pos = LocalIndex::new(&sub.right_tuples);
+        let left_pos: HashMap<usize, u32> =
+            sub.left_tuples.iter().enumerate().map(|(p, &t)| (t, p as u32)).collect();
+        let right_pos: HashMap<usize, u32> =
+            sub.right_tuples.iter().enumerate().map(|(p, &t)| (t, p as u32)).collect();
         let e = &outcome.explanations;
         let local = |side: Side, tuple: usize| -> u32 {
-            let pos = match side {
-                Side::Left => left_pos.get(tuple),
-                Side::Right => right_pos.get(tuple),
-            };
-            pos.expect("explained tuple belongs to its component")
+            match side {
+                Side::Left => left_pos[&tuple],
+                Side::Right => right_pos[&tuple],
+            }
         };
         CachedComponent {
             provenance: e.provenance.iter().map(|p| (p.side, local(p.side, p.tuple))).collect(),
@@ -135,7 +136,7 @@ impl CachedComponent {
                 .evidence
                 .matches()
                 .iter()
-                .map(|m| (local(Side::Left, m.left), local(Side::Right, m.right), m.prob))
+                .map(|m| (left_pos[&m.left], right_pos[&m.right], m.prob))
                 .collect(),
             nodes: outcome.nodes,
             suboptimal: outcome.suboptimal,
@@ -617,47 +618,24 @@ impl ExplainSession {
             h.write_u64(self.right.tuples[j].impact.to_bits());
         }
         if !sub.matches.is_empty() {
-            let left_pos = LocalIndex::new(&sub.left_tuples);
-            let right_pos = LocalIndex::new(&sub.right_tuples);
+            let left_pos: HashMap<usize, u64> =
+                sub.left_tuples.iter().enumerate().map(|(p, &t)| (t, p as u64)).collect();
+            let right_pos: HashMap<usize, u64> =
+                sub.right_tuples.iter().enumerate().map(|(p, &t)| (t, p as u64)).collect();
             for m in &sub.matches {
                 // Matches referencing tuples outside the component are
                 // ignored by the encoder and the heuristic alike, so they
                 // must not perturb the hash either.
-                let (Some(lp), Some(rp)) = (left_pos.get(m.left), right_pos.get(m.right)) else {
+                let (Some(&lp), Some(&rp)) = (left_pos.get(&m.left), right_pos.get(&m.right))
+                else {
                     continue;
                 };
-                h.write_u64(u64::from(lp));
-                h.write_u64(u64::from(rp));
+                h.write_u64(lp);
+                h.write_u64(rp);
                 h.write_u64(m.prob.to_bits());
             }
         }
         h.finish()
-    }
-}
-
-/// Tuple id → position in one side of a component. Components with at
-/// most [`LocalIndex::SCAN_MAX`] tuples on a side — the singletons and
-/// small clusters that make up almost every job — are scanned directly;
-/// only larger ones pay for a hash map.
-struct LocalIndex<'a> {
-    tuples: &'a [usize],
-    map: Option<HashMap<usize, u32>>,
-}
-
-impl<'a> LocalIndex<'a> {
-    const SCAN_MAX: usize = 8;
-
-    fn new(tuples: &'a [usize]) -> Self {
-        let map = (tuples.len() > Self::SCAN_MAX)
-            .then(|| tuples.iter().enumerate().map(|(p, &t)| (t, p as u32)).collect());
-        LocalIndex { tuples, map }
-    }
-
-    fn get(&self, tuple: usize) -> Option<u32> {
-        match &self.map {
-            Some(map) => map.get(&tuple).copied(),
-            None => self.tuples.iter().position(|&t| t == tuple).map(|p| p as u32),
-        }
     }
 }
 
